@@ -191,3 +191,38 @@ func TestAdmitCacheEvaluateDuringInvalidationRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// Removing a destroyed instance's rules must also retire the admissions the
+// guard cached for it: a later command naming the instance — a revived or
+// reused ID — is refused rather than admitted from the cache.
+func TestAdmitCacheRemoveInstanceInvalidates(t *testing.T) {
+	id, other := launchOf("guest"), launchOf("other")
+	policy := NewPolicy(DefaultGuestPolicy(id, 1)...)
+	policy.Append(DefaultGuestPolicy(other, 2)...)
+	g := NewImprovedGuard(nil, policy)
+	for i := 0; i < 2; i++ { // cold, then warm
+		if e := g.evaluateAdmit(tpm.Profile12, id, 1, tpm.OrdExtend); e != Allow {
+			t.Fatalf("pass %d: live guest refused: %v", i, e)
+		}
+	}
+	gen := policy.Generation()
+	if n := policy.RemoveInstance(1); n != 8 {
+		t.Fatalf("RemoveInstance removed %d rules, want 8", n)
+	}
+	if policy.Generation() == gen {
+		t.Fatal("RemoveInstance did not bump the generation")
+	}
+	if e := g.evaluateAdmit(tpm.Profile12, id, 1, tpm.OrdExtend); e != Deny {
+		t.Fatal("cached Allow survived the instance's removal")
+	}
+	if e := g.evaluateAdmit(tpm.Profile12, other, 2, tpm.OrdExtend); e != Allow {
+		t.Fatal("removing one instance's rules refused another's")
+	}
+	if policy.Len() != 8 {
+		t.Fatalf("Len = %d, want 8", policy.Len())
+	}
+	gen = policy.Generation()
+	if n := policy.RemoveInstance(1); n != 0 || policy.Generation() != gen {
+		t.Fatalf("second RemoveInstance removed %d rules, generation %d -> %d", n, gen, policy.Generation())
+	}
+}

@@ -178,10 +178,11 @@ func (r Rule) matches(p tpm.Profile, id xen.LaunchDigest, inst vtpm.InstanceID, 
 //
 // The read path is lock-free: the rule list and cache toggle live in an
 // immutable table behind an atomic pointer, and the decision cache is a
-// sync.Map inside that table. Writers (Append/Prepend/SetCache) build a
-// fresh table — with an empty cache, since any rule change can invalidate
-// any cached decision — and swap it in under writeMu. Evaluate never blocks
-// on a concurrent policy edit, and concurrent Evaluates never contend.
+// sync.Map inside that table. Writers (Append/Prepend/RemoveInstance/
+// SetCache) build a fresh table — with an empty cache, since any rule
+// change can invalidate any cached decision — and swap it in under
+// writeMu. Evaluate never blocks on a concurrent policy edit, and
+// concurrent Evaluates never contend.
 type Policy struct {
 	table   atomic.Pointer[policyTable]
 	writeMu sync.Mutex // serializes table swaps
@@ -197,7 +198,8 @@ type Policy struct {
 }
 
 // Generation returns the policy's mutation counter. It changes on every
-// Append/Prepend/SetCache, never on internal cache maintenance.
+// Append/Prepend/RemoveInstance/SetCache, never on internal cache
+// maintenance.
 func (p *Policy) Generation() uint64 { return p.gen.Load() }
 
 // policyTable is one immutable policy snapshot. rules is never mutated after
@@ -279,6 +281,32 @@ func (p *Policy) Prepend(rules ...Rule) {
 	merged = append(append(merged, rules...), t.rules...)
 	p.table.Store(&policyTable{rules: merged, useCache: t.useCache})
 	p.gen.Add(1)
+}
+
+// RemoveInstance drops every rule naming instance inst — the default rules
+// the guest was granted and any added for it since — and clears the cache.
+// Hosts call it when an instance is destroyed, so the rule list tracks the
+// live guests rather than every guest the host ever had. Wildcard rules
+// (AnyInstance) stay. Reports how many rules went.
+func (p *Policy) RemoveInstance(inst vtpm.InstanceID) int {
+	if inst == AnyInstance {
+		return 0
+	}
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	t := p.table.Load()
+	kept := make([]Rule, 0, len(t.rules))
+	for _, r := range t.rules {
+		if r.Instance != inst {
+			kept = append(kept, r)
+		}
+	}
+	removed := len(t.rules) - len(kept)
+	if removed > 0 {
+		p.table.Store(&policyTable{rules: kept, useCache: t.useCache})
+		p.gen.Add(1)
+	}
+	return removed
 }
 
 // Len returns the rule count.

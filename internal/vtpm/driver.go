@@ -62,9 +62,16 @@ func frontPath(dom xen.DomID) string {
 	return fmt.Sprintf("/local/domain/%d/device/vtpm/0", dom)
 }
 
-// backPath is the backend's XenStore directory for one frontend.
+// BackendDir is the backend's XenStore directory for one frontend domain.
+// DetachDevice leaves it in place, holding the Closed state a watching
+// frontend needs to see; the toolstack removes it with the domain.
+func BackendDir(dom xen.DomID) string {
+	return fmt.Sprintf("/local/domain/0/backend/vtpm/%d", dom)
+}
+
+// backPath is the backend's XenStore directory for one frontend's device.
 func backPath(dom xen.DomID) string {
-	return fmt.Sprintf("/local/domain/0/backend/vtpm/%d/0", dom)
+	return BackendDir(dom) + "/0"
 }
 
 // Frontend is the guest half of the vTPM split driver. It implements

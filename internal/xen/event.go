@@ -54,6 +54,12 @@ type EventChannels struct {
 	mu    sync.Mutex
 	ports map[EvtchnPort]*evtchn
 	next  EvtchnPort
+	// open indexes every port not yet closed under both the domain that
+	// owns it and its remote domain, so tearing a domain down touches only
+	// that domain's ports. Closed ports stay in ports (callers still get
+	// ErrChannelClosed on them), which a scan over ports would make every
+	// domain teardown pay for.
+	open map[DomID]map[EvtchnPort]*evtchn
 	// notifyFault, when set, is consulted on every Notify; returning true
 	// drops the event silently (the peer is never woken). Fault injection
 	// only — the hook runs under ec.mu and must not reenter EventChannels.
@@ -127,7 +133,37 @@ func (ec *EventChannels) DroppedNotifies() uint64 {
 
 // newEventChannels creates an empty port table.
 func newEventChannels() *EventChannels {
-	return &EventChannels{ports: make(map[EvtchnPort]*evtchn), next: 1}
+	return &EventChannels{ports: make(map[EvtchnPort]*evtchn), open: make(map[DomID]map[EvtchnPort]*evtchn), next: 1}
+}
+
+// addPortLocked registers a new port and indexes it as open under its
+// owner and remote domains.
+func (ec *EventChannels) addPortLocked(port EvtchnPort, ch *evtchn) {
+	ec.ports[port] = ch
+	for _, d := range [2]DomID{ch.owner, ch.remote} {
+		m := ec.open[d]
+		if m == nil {
+			m = make(map[EvtchnPort]*evtchn)
+			ec.open[d] = m
+		}
+		m[port] = ch
+	}
+}
+
+// closePortLocked closes a port: it stops the port's timer, wakes its
+// waiters and drops it from the open index.
+func (ec *EventChannels) closePortLocked(port EvtchnPort, ch *evtchn) {
+	ch.state = chanClosed
+	stopTimerLocked(ch)
+	ch.cond.Broadcast()
+	for _, d := range [2]DomID{ch.owner, ch.remote} {
+		if m := ec.open[d]; m != nil {
+			delete(m, port)
+			if len(m) == 0 {
+				delete(ec.open, d)
+			}
+		}
+	}
 }
 
 // AllocUnbound allocates a port owned by owner awaiting a bind from remote,
@@ -139,7 +175,7 @@ func (ec *EventChannels) AllocUnbound(owner, remote DomID) EvtchnPort {
 	ec.next++
 	ch := &evtchn{owner: owner, remote: remote, state: chanUnbound}
 	ch.cond = sync.NewCond(&ec.mu)
-	ec.ports[port] = ch
+	ec.addPortLocked(port, ch)
 	return port
 }
 
@@ -160,7 +196,7 @@ func (ec *EventChannels) BindInterdomain(caller DomID, remoteDom DomID, remotePo
 	ec.next++
 	lch := &evtchn{owner: caller, remote: remoteDom, peer: remotePort, state: chanBound}
 	lch.cond = sync.NewCond(&ec.mu)
-	ec.ports[port] = lch
+	ec.addPortLocked(port, lch)
 	rch.peer = port
 	rch.state = chanBound
 	return port, nil
@@ -307,14 +343,10 @@ func (ec *EventChannels) Close(caller DomID, port EvtchnPort) error {
 		return ErrPortMismatch
 	}
 	wasBound := ch.state == chanBound
-	ch.state = chanClosed
-	stopTimerLocked(ch)
-	ch.cond.Broadcast()
+	ec.closePortLocked(port, ch)
 	if wasBound {
 		if peer, ok := ec.ports[ch.peer]; ok && peer.state == chanBound {
-			peer.state = chanClosed
-			stopTimerLocked(peer)
-			peer.cond.Broadcast()
+			ec.closePortLocked(ch.peer, peer)
 		}
 	}
 	return nil
@@ -335,11 +367,7 @@ func stopTimerLocked(ch *evtchn) {
 func (ec *EventChannels) closeAllFor(dom DomID) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	for _, ch := range ec.ports {
-		if (ch.owner == dom || ch.remote == dom) && ch.state != chanClosed {
-			ch.state = chanClosed
-			stopTimerLocked(ch)
-			ch.cond.Broadcast()
-		}
+	for port, ch := range ec.open[dom] {
+		ec.closePortLocked(port, ch)
 	}
 }

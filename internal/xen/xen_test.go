@@ -382,6 +382,56 @@ func TestDestroyClosesDomainChannels(t *testing.T) {
 	}
 }
 
+func TestDestroyLeavesOtherDomainsChannels(t *testing.T) {
+	h := newHost(t)
+	ec := h.EventChannels()
+	type pair struct{ g, d0 EvtchnPort }
+	bind := func(d *Domain) pair {
+		gPort := ec.AllocUnbound(d.ID(), Dom0)
+		d0Port, err := ec.BindInterdomain(Dom0, d.ID(), gPort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pair{gPort, d0Port}
+	}
+	a, b := mkGuest(t, h, "a"), mkGuest(t, h, "b")
+	pa, pb := bind(a), bind(b)
+	unbound := ec.AllocUnbound(b.ID(), Dom0)
+	closed := bind(b)
+	if err := ec.Close(b.ID(), closed.g); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.DestroyDomain(Dom0, a.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ec.Notify(Dom0, pa.d0); !errors.Is(err, ErrPortNotBound) {
+		t.Fatalf("notify to destroyed domain err = %v", err)
+	}
+	if err := ec.Wait(a.ID(), pa.g); !errors.Is(err, ErrChannelClosed) {
+		t.Fatalf("wait on destroyed domain's port err = %v", err)
+	}
+	if err := ec.Notify(Dom0, pb.d0); err != nil {
+		t.Fatalf("surviving domain's channel: %v", err)
+	}
+	if err := ec.Wait(b.ID(), pb.g); err != nil {
+		t.Fatalf("surviving domain's channel: %v", err)
+	}
+	if err := h.DestroyDomain(Dom0, b.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ec.Wait(Dom0, closed.d0); !errors.Is(err, ErrChannelClosed) {
+		t.Fatalf("wait on closed peer err = %v", err)
+	}
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	if ch := ec.ports[unbound]; ch.state != chanClosed {
+		t.Fatalf("unbound port of destroyed domain in state %d", ch.state)
+	}
+	if len(ec.open) != 0 {
+		t.Fatalf("open-port index holds %d domains after every guest is gone", len(ec.open))
+	}
+}
+
 func TestSaveRestorePreservesMemoryAndIdentity(t *testing.T) {
 	src := newHost(t)
 	dst := NewHypervisor(DomainConfig{Name: "Domain-0"})

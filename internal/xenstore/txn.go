@@ -3,12 +3,16 @@ package xenstore
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"xvtpm/internal/xen"
 )
 
-// TxnStart opens a transaction: a private snapshot of the whole tree the
-// caller mutates in isolation until commit.
+// TxnStart opens a transaction the caller mutates in isolation until
+// commit. It costs O(1) whatever the tree's size: the transaction starts
+// from the live root itself under a fresh epoch, and the live tree moves to
+// another fresh epoch, so from here on each side copies a node on its first
+// write to it (ownPath) and the other side keeps seeing the original.
 func (s *Store) TxnStart(caller xen.DomID) TxnID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -16,11 +20,13 @@ func (s *Store) TxnStart(caller xen.DomID) TxnID {
 	id := s.nextTxn
 	s.txns[id] = &txn{
 		owner:     caller,
-		root:      s.root.clone(),
+		root:      s.root,
+		epoch:     s.epoch + 1,
 		baseGen:   s.gen,
 		touched:   make(map[string]struct{}),
 		ownedSeen: make(map[xen.DomID]int),
 	}
+	s.epoch += 2
 	return id
 }
 
@@ -97,18 +103,9 @@ func (s *Store) replayQuotaLocked(t *txn) error {
 		if op.kind != opWrite || op.caller == xen.Dom0 {
 			continue
 		}
-		n := s.root
-		missing := false
-		prefix := ""
-		for _, p := range op.parts {
-			prefix += "/" + p
-			if !missing {
-				if child, ok := n.children[p]; ok {
-					n = child
-					continue
-				}
-				missing = true
-			}
+		_, k := deepest(s.root, op.parts)
+		for i := k; i < len(op.parts); i++ {
+			prefix := "/" + strings.Join(op.parts[:i+1], "/")
 			if _, ok := virtual[prefix]; !ok {
 				virtual[prefix] = struct{}{}
 				needed[op.caller]++
@@ -131,45 +128,30 @@ func (s *Store) replayQuotaLocked(t *txn) error {
 func (s *Store) replayLocked(op txnOp) {
 	switch op.kind {
 	case opWrite:
-		n := s.root
-		var createdParent *node
-		for _, p := range op.parts {
-			child, ok := n.children[p]
-			if !ok {
-				child = &node{
-					children: make(map[string]*node),
-					perms:    Perms{Owner: op.caller, Default: n.perms.Default},
-				}
-				if n.children == nil {
-					n.children = make(map[string]*node)
-				}
-				n.children[p] = child
-				s.owned[op.caller]++
-				if createdParent == nil {
-					createdParent = n
-				}
-			}
-			n = child
-		}
-		n.value = append([]byte(nil), op.value...)
+		_, k := deepest(s.root, op.parts)
+		parent := s.ownPath(nil, op.parts[:k])
+		n := s.createPath(nil, parent, op.parts[k:], op.caller)
+		n.value = op.value
 		n.gen = s.gen
-		if createdParent != nil {
-			createdParent.gen = s.gen
+		if k < len(op.parts) {
+			parent.gen = s.gen
 		}
 	case opRemove:
-		parent, n, err := lookup(s.root, op.parts)
+		n, err := lookup(s.root, op.parts)
 		if err == nil {
-			adjustOwned(s.owned, n, -1)
+			s.addOwnedTree(nil, n, -1)
+			parent := s.ownPath(nil, op.parts[:len(op.parts)-1])
 			delete(parent.children, op.parts[len(op.parts)-1])
 			parent.gen = s.gen
 		}
 	case opSetPerms:
-		if _, n, err := lookup(s.root, op.parts); err == nil {
+		if _, err := lookup(s.root, op.parts); err == nil {
+			n := s.ownPath(nil, op.parts)
 			if n.perms.Owner != op.perms.Owner {
-				s.owned[n.perms.Owner]--
-				s.owned[op.perms.Owner]++
+				s.addOwned(nil, n.perms.Owner, -1)
+				s.addOwned(nil, op.perms.Owner, 1)
 			}
-			n.perms = op.perms.clone()
+			n.perms = op.perms
 			n.gen = s.gen
 		}
 	}
@@ -185,14 +167,7 @@ func (s *Store) pathChanged(path string, baseGen uint64) bool {
 	if err != nil {
 		return true
 	}
-	n := s.root
-	for _, p := range parts {
-		child, ok := n.children[p]
-		if !ok {
-			return n.gen > baseGen
-		}
-		n = child
-	}
+	n, _ := deepest(s.root, parts)
 	return n.gen > baseGen
 }
 

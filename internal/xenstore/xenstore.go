@@ -17,6 +17,7 @@ package xenstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -90,23 +91,18 @@ func (p Perms) allows(dom xen.DomID, want PermBits) bool {
 	return bits&want == want
 }
 
-// node is one tree entry.
+// node is one tree entry. The live tree and the views of open transactions
+// share every node neither has changed: a node is mutated in place only by
+// the tree whose epoch owns it, and any other tree that needs to change it
+// first replaces it with a copy of its own (see ownPath). value and perms
+// are replaced whole on every change, never edited in place, so copies
+// share them.
 type node struct {
 	value    []byte
 	children map[string]*node
 	perms    Perms
 	gen      uint64 // store generation of last mutation
-}
-
-func (n *node) clone() *node {
-	c := &node{value: append([]byte(nil), n.value...), perms: n.perms.clone(), gen: n.gen}
-	if n.children != nil {
-		c.children = make(map[string]*node, len(n.children))
-		for name, ch := range n.children {
-			c.children[name] = ch.clone()
-		}
-	}
-	return c
+	epoch    uint64 // the tree (live or one transaction) that owns the node
 }
 
 // Store is one host's XenStore.
@@ -123,6 +119,10 @@ type Store struct {
 	// handshake nodes) the walk was quadratic across a mass creation.
 	owned     map[xen.DomID]int
 	nodeQuota int
+	// epoch owns the live tree's private nodes. TxnStart hands the
+	// transaction the next epoch and moves the live tree to the one after,
+	// so the nodes both now share belong to neither.
+	epoch uint64
 }
 
 // TxnID names an open transaction.
@@ -131,7 +131,8 @@ type TxnID uint32
 // NoTxn is the TxnID meaning "operate directly on the store".
 const NoTxn TxnID = 0
 
-// txn is an open transaction: a private copy of the tree the owner mutates
+// txn is an open transaction: its own view of the tree, which starts as
+// the live root itself and diverges by path copying as the owner mutates it
 // in isolation, the set of paths it touched (reads and writes alike, for
 // conflict detection at commit), and the ordered log of its mutations.
 // Commit replays the log onto the live tree rather than swapping trees, so
@@ -141,6 +142,7 @@ const NoTxn TxnID = 0
 type txn struct {
 	owner   xen.DomID
 	root    *node
+	epoch   uint64 // owns the nodes this transaction has copied or created
 	baseGen uint64
 	touched map[string]struct{}
 	ops     []txnOp
@@ -192,25 +194,33 @@ func (s *Store) SetNodeQuota(n int) {
 	s.mu.Unlock()
 }
 
-// adjustOwned walks a subtree adding delta to each node's owner counter in
-// the given counter map.
-func adjustOwned(counts map[xen.DomID]int, n *node, delta int) {
-	counts[n.perms.Owner] += delta
-	for _, c := range n.children {
-		adjustOwned(counts, c, delta)
+// ownedBy returns a domain's owned-node count in the tree t sees (the live
+// tree when t is nil).
+func (s *Store) ownedBy(t *txn, dom xen.DomID) int {
+	if t != nil {
+		if n, ok := t.ownedSeen[dom]; ok {
+			return n
+		}
 	}
+	return s.owned[dom]
 }
 
-// txnOwnedAdjust mirrors adjustOwned onto a transaction's lazily-seeded
-// view of the counters.
-func (s *Store) txnOwnedAdjust(t *txn, n *node, delta int) {
-	o := n.perms.Owner
-	if _, ok := t.ownedSeen[o]; !ok {
-		t.ownedSeen[o] = s.owned[o]
+// addOwned adds delta to a domain's owned-node count in the tree t sees; a
+// transaction's view of the counters is seeded from the live ones on first
+// use.
+func (s *Store) addOwned(t *txn, dom xen.DomID, delta int) {
+	if t == nil {
+		s.owned[dom] += delta
+		return
 	}
-	t.ownedSeen[o] += delta
+	t.ownedSeen[dom] = s.ownedBy(t, dom) + delta
+}
+
+// addOwnedTree applies addOwned to the owner of every node in a subtree.
+func (s *Store) addOwnedTree(t *txn, n *node, delta int) {
+	s.addOwned(t, n.perms.Owner, delta)
 	for _, c := range n.children {
-		s.txnOwnedAdjust(t, c, delta)
+		s.addOwnedTree(t, c, delta)
 	}
 }
 
@@ -238,18 +248,27 @@ func split(path string) ([]string, error) {
 	return parts, nil
 }
 
-// lookup walks to a node, returning also its parent for removal.
-func lookup(root *node, parts []string) (parent, n *node, err error) {
-	n = root
-	for _, p := range parts {
-		parent = n
+// lookup walks to a node.
+func lookup(root *node, parts []string) (*node, error) {
+	n, k := deepest(root, parts)
+	if k < len(parts) {
+		return nil, ErrNoEnt
+	}
+	return n, nil
+}
+
+// deepest walks as far down parts as the tree goes, returning the last node
+// reached and how many components it covers.
+func deepest(root *node, parts []string) (*node, int) {
+	n := root
+	for k, p := range parts {
 		child, ok := n.children[p]
 		if !ok {
-			return nil, nil, ErrNoEnt
+			return n, k
 		}
 		n = child
 	}
-	return parent, n, nil
+	return n, len(parts)
 }
 
 func (s *Store) treeFor(id TxnID) (*node, *txn, error) {
@@ -261,6 +280,66 @@ func (s *Store) treeFor(id TxnID) (*node, *txn, error) {
 		return nil, nil, ErrBadTxn
 	}
 	return t.root, t, nil
+}
+
+// ownPath returns the node parts names in the tree t sees (the live tree
+// when t is nil), first making every node on the way one that tree owns:
+// a node another epoch owns may be shared with an open transaction, so it
+// is replaced in its (already owned) parent by a shallow copy — the
+// children map is copied, the children themselves stay shared — stamped
+// with this tree's epoch. The caller may then mutate the returned node and
+// the child set of every node above it. The live tree is edited in place
+// while no transaction is open: nothing else can see it then. Every node on
+// the path must exist.
+func (s *Store) ownPath(t *txn, parts []string) *node {
+	rootp, epoch := &s.root, s.epoch
+	if t != nil {
+		rootp, epoch = &t.root, t.epoch
+	} else if len(s.txns) == 0 {
+		n, _ := deepest(s.root, parts)
+		return n
+	}
+	n := *rootp
+	if n.epoch != epoch {
+		n = n.copyFor(epoch)
+		*rootp = n
+	}
+	for _, p := range parts {
+		c := n.children[p]
+		if c.epoch != epoch {
+			c = c.copyFor(epoch)
+			n.children[p] = c
+		}
+		n = c
+	}
+	return n
+}
+
+func (n *node) copyFor(epoch uint64) *node {
+	return &node{value: n.value, children: maps.Clone(n.children), perms: n.perms, gen: n.gen, epoch: epoch}
+}
+
+// createPath creates parts as a chain of nodes below n, which the tree t
+// sees owns, and returns the deepest. The new nodes belong to caller and
+// inherit n's default permission.
+func (s *Store) createPath(t *txn, n *node, parts []string, caller xen.DomID) *node {
+	if len(parts) == 0 {
+		return n
+	}
+	epoch := s.epoch
+	if t != nil {
+		epoch = t.epoch
+	}
+	for _, p := range parts {
+		child := &node{perms: Perms{Owner: caller, Default: n.perms.Default}, epoch: epoch}
+		if n.children == nil {
+			n.children = make(map[string]*node)
+		}
+		n.children[p] = child
+		n = child
+	}
+	s.addOwned(t, caller, len(parts))
+	return n
 }
 
 // Read returns a node's value.
@@ -275,7 +354,7 @@ func (s *Store) Read(caller xen.DomID, id TxnID, path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, n, err := lookup(root, parts)
+	n, err := lookup(root, parts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", err, path)
 	}
@@ -300,7 +379,7 @@ func (s *Store) List(caller xen.DomID, id TxnID, path string) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	_, n, err := lookup(root, parts)
+	n, err := lookup(root, parts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", err, path)
 	}
@@ -320,7 +399,8 @@ func (s *Store) List(caller xen.DomID, id TxnID, path string) ([]string, error) 
 
 // Write sets a node's value, creating the node (and intermediate nodes) if
 // absent. Created nodes inherit the parent's permissions with the caller as
-// owner, like the real store.
+// owner, like the real store. A write that would take the caller over its
+// node quota creates nothing.
 func (s *Store) Write(caller xen.DomID, id TxnID, path string, value []byte) error {
 	parts, err := split(path)
 	if err != nil {
@@ -333,67 +413,35 @@ func (s *Store) Write(caller xen.DomID, id TxnID, path string, value []byte) err
 		return fmt.Errorf("%w: %d bytes", ErrTooLong, len(value))
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	root, t, err := s.treeFor(id)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	// Quota check for unprivileged creators, O(1) against the incremental
-	// counters (the transaction's lazily-seeded view when inside one).
-	n := root
-	created := false
-	var createdParent *node
-	for i, p := range parts {
-		child, ok := n.children[p]
-		if !ok {
-			if !n.perms.allows(caller, PermWrite) {
-				s.mu.Unlock()
-				return fmt.Errorf("%w: dom%d create under %s", ErrPerm, caller, "/"+strings.Join(parts[:i], "/"))
-			}
-			if caller != xen.Dom0 && s.nodeQuota > 0 {
-				cnt := s.owned[caller]
-				if t != nil {
-					if seen, ok := t.ownedSeen[caller]; ok {
-						cnt = seen
-					}
-				}
-				if cnt >= s.nodeQuota {
-					s.mu.Unlock()
-					return fmt.Errorf("%w: dom%d at %d nodes", ErrQuota, caller, cnt)
-				}
-			}
-			child = &node{
-				children: make(map[string]*node),
-				perms:    Perms{Owner: caller, Default: n.perms.Default},
-			}
-			if n.children == nil {
-				n.children = make(map[string]*node)
-			}
-			n.children[p] = child
-			if t != nil {
-				if _, ok := t.ownedSeen[caller]; !ok {
-					t.ownedSeen[caller] = s.owned[caller]
-				}
-				t.ownedSeen[caller]++
-			} else {
-				s.owned[caller]++
-			}
-			if !created {
-				createdParent = n
-			}
-			created = true
+	n, k := deepest(root, parts)
+	created := len(parts) - k
+	if created > 0 {
+		// Only the first creation needs a permission check: the caller owns
+		// every node it creates below that one. The quota check is O(1)
+		// against the incremental counters (the transaction's view when
+		// inside one).
+		if !n.perms.allows(caller, PermWrite) {
+			return fmt.Errorf("%w: dom%d create under %s", ErrPerm, caller, "/"+strings.Join(parts[:k], "/"))
 		}
-		n = child
-	}
-	if !created && !n.perms.allows(caller, PermWrite) {
-		s.mu.Unlock()
+		if cnt := s.ownedBy(t, caller); caller != xen.Dom0 && s.nodeQuota > 0 && cnt+created > s.nodeQuota {
+			return fmt.Errorf("%w: dom%d at %d nodes", ErrQuota, caller, cnt)
+		}
+	} else if !n.perms.allows(caller, PermWrite) {
 		return fmt.Errorf("%w: dom%d write %s", ErrPerm, caller, path)
 	}
+	// base is the deepest existing node: the target itself when nothing is
+	// created, else the parent whose child set changes.
+	base := s.ownPath(t, parts[:k])
+	n = s.createPath(t, base, parts[k:], caller)
 	n.value = append([]byte(nil), value...)
 	if t != nil {
 		t.touched[path] = struct{}{}
-		t.ops = append(t.ops, txnOp{kind: opWrite, caller: caller, path: path, parts: parts, value: append([]byte(nil), value...)})
-		s.mu.Unlock()
+		t.ops = append(t.ops, txnOp{kind: opWrite, caller: caller, path: path, parts: parts, value: n.value})
 		return nil
 	}
 	s.gen++
@@ -402,11 +450,10 @@ func (s *Store) Write(caller xen.DomID, id TxnID, path string, value []byte) err
 	// granularity, like real xenstored, so unrelated subtrees never
 	// conflict with each other's transactions.
 	n.gen = s.gen
-	if createdParent != nil {
-		createdParent.gen = s.gen
+	if created > 0 {
+		base.gen = s.gen
 	}
 	s.fireLocked(path)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -420,33 +467,29 @@ func (s *Store) Remove(caller xen.DomID, id TxnID, path string) error {
 		return fmt.Errorf("%w: cannot remove root", ErrBadPath)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	root, t, err := s.treeFor(id)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	parent, n, err := lookup(root, parts)
+	n, err := lookup(root, parts)
 	if err != nil {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", err, path)
 	}
 	if caller != xen.Dom0 && caller != n.perms.Owner {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: dom%d remove %s", ErrPerm, caller, path)
 	}
+	parent := s.ownPath(t, parts[:len(parts)-1])
 	delete(parent.children, parts[len(parts)-1])
+	s.addOwnedTree(t, n, -1)
 	if t != nil {
-		s.txnOwnedAdjust(t, n, -1)
 		t.touched[path] = struct{}{}
 		t.ops = append(t.ops, txnOp{kind: opRemove, caller: caller, path: path, parts: parts})
-		s.mu.Unlock()
 		return nil
 	}
-	adjustOwned(s.owned, n, -1)
 	s.gen++
 	parent.gen = s.gen // the parent's child set changed
 	s.fireLocked(path)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -462,7 +505,7 @@ func (s *Store) GetPerms(caller xen.DomID, id TxnID, path string) (Perms, error)
 	if err != nil {
 		return Perms{}, err
 	}
-	_, n, err := lookup(root, parts)
+	n, err := lookup(root, parts)
 	if err != nil {
 		return Perms{}, fmt.Errorf("%w: %s", err, path)
 	}
@@ -479,46 +522,32 @@ func (s *Store) SetPerms(caller xen.DomID, id TxnID, path string, perms Perms) e
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	root, t, err := s.treeFor(id)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
-	_, n, err := lookup(root, parts)
+	n, err := lookup(root, parts)
 	if err != nil {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", err, path)
 	}
 	if caller != xen.Dom0 && caller != n.perms.Owner {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: dom%d setperms %s", ErrPerm, caller, path)
 	}
-	prevOwner := n.perms.Owner
+	n = s.ownPath(t, parts)
+	if n.perms.Owner != perms.Owner {
+		s.addOwned(t, n.perms.Owner, -1)
+		s.addOwned(t, perms.Owner, 1)
+	}
 	n.perms = perms.clone()
 	if t != nil {
-		if prevOwner != perms.Owner {
-			if _, ok := t.ownedSeen[prevOwner]; !ok {
-				t.ownedSeen[prevOwner] = s.owned[prevOwner]
-			}
-			if _, ok := t.ownedSeen[perms.Owner]; !ok {
-				t.ownedSeen[perms.Owner] = s.owned[perms.Owner]
-			}
-			t.ownedSeen[prevOwner]--
-			t.ownedSeen[perms.Owner]++
-		}
 		t.touched[path] = struct{}{}
-		t.ops = append(t.ops, txnOp{kind: opSetPerms, caller: caller, path: path, parts: parts, perms: perms.clone()})
-		s.mu.Unlock()
+		t.ops = append(t.ops, txnOp{kind: opSetPerms, caller: caller, path: path, parts: parts, perms: n.perms})
 		return nil
-	}
-	if prevOwner != perms.Owner {
-		s.owned[prevOwner]--
-		s.owned[perms.Owner]++
 	}
 	s.gen++
 	n.gen = s.gen
 	s.fireLocked(path)
-	s.mu.Unlock()
 	return nil
 }
 

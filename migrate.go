@@ -17,7 +17,6 @@ import (
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
 	"xvtpm/internal/xen"
-	"xvtpm/internal/xenstore"
 )
 
 // ErrMigrationDiverged reports that the destination's imported vTPM did not
@@ -67,13 +66,14 @@ func (h *Host) FinishMigration(g *Guest) error {
 	if err := h.Manager.DestroyInstance(g.Instance); err != nil {
 		return err
 	}
+	h.revokePolicy(g.Instance)
 	h.mu.Lock()
 	delete(h.guests, g.Dom.ID())
 	h.mu.Unlock()
 	if err := h.HV.DestroyDomain(xen.Dom0, g.Dom.ID()); err != nil {
 		return err
 	}
-	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", g.Dom.ID())) //nolint:errcheck // best effort
+	h.forgetDomain(g.Dom.ID())
 	return nil
 }
 
@@ -89,7 +89,7 @@ func (h *Host) CancelMigration(g *Guest, img *xen.DomainImage) (*Guest, error) {
 	if err := h.HV.DestroyDomain(xen.Dom0, g.Dom.ID()); err != nil {
 		return nil, err
 	}
-	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", g.Dom.ID())) //nolint:errcheck // best effort
+	h.forgetDomain(g.Dom.ID())
 	dom, err := h.HV.RestoreDomain(xen.Dom0, img)
 	if err != nil {
 		return nil, err

@@ -544,7 +544,8 @@ func (h *Host) attachGuest(dom *xen.Domain, inst vtpm.InstanceID) (*Guest, error
 	return g, nil
 }
 
-// DestroyGuest tears a guest down: device, instance and domain.
+// DestroyGuest tears a guest down: device, instance, policy rules and
+// domain.
 func (h *Host) DestroyGuest(g *Guest) error {
 	g.Frontend.Close()
 	h.Backend.DetachDevice(g.Dom.ID()) //nolint:errcheck // may already be closed
@@ -554,14 +555,31 @@ func (h *Host) DestroyGuest(g *Guest) error {
 	if err := h.Manager.DestroyInstance(g.Instance); err != nil {
 		return err
 	}
+	h.revokePolicy(g.Instance)
 	h.mu.Lock()
 	delete(h.guests, g.Dom.ID())
 	h.mu.Unlock()
 	if err := h.HV.DestroyDomain(xen.Dom0, g.Dom.ID()); err != nil {
 		return err
 	}
-	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", g.Dom.ID())) //nolint:errcheck // best effort
+	h.forgetDomain(g.Dom.ID())
 	return nil
+}
+
+// forgetDomain clears what a dead domain leaves in the host's XenStore —
+// its home directory and the vTPM backend's directory for it — as the
+// toolstack does.
+func (h *Host) forgetDomain(dom xen.DomID) {
+	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", dom)) //nolint:errcheck // best effort
+	h.XS.Remove(xen.Dom0, xenstore.NoTxn, vtpm.BackendDir(dom))                 //nolint:errcheck // best effort
+}
+
+// revokePolicy drops a destroyed instance's rules from the improved
+// guard's policy (baseline hosts have none).
+func (h *Host) revokePolicy(inst vtpm.InstanceID) {
+	if ig, ok := h.ImprovedGuard(); ok {
+		ig.Policy().RemoveInstance(inst)
+	}
 }
 
 // Guests returns the host's live guests.
@@ -629,7 +647,8 @@ func (h *Host) OpenLoadSlot(name string, profile tpm.Profile) (*LoadSlot, error)
 	return slot, nil
 }
 
-// CloseLoadSlot retires a load slot: session, instance and domain.
+// CloseLoadSlot retires a load slot: session, instance, policy rules and
+// domain.
 func (h *Host) CloseLoadSlot(s *LoadSlot) error {
 	s.Session.Close()
 	if err := h.Manager.UnbindInstance(s.Instance); err != nil && !errors.Is(err, vtpm.ErrUnbound) {
@@ -638,6 +657,7 @@ func (h *Host) CloseLoadSlot(s *LoadSlot) error {
 	if err := h.Manager.DestroyInstance(s.Instance); err != nil {
 		return err
 	}
+	h.revokePolicy(s.Instance)
 	return h.HV.DestroyDomain(xen.Dom0, s.Dom.ID())
 }
 
@@ -671,7 +691,7 @@ func (h *Host) SuspendGuest(g *Guest) (string, error) {
 	}
 	// Clear the dead domain's XenStore subtree, as the toolstack does;
 	// resume creates a fresh one under the new domain ID.
-	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", g.Dom.ID())) //nolint:errcheck // best effort
+	h.forgetDomain(g.Dom.ID())
 	h.mu.Lock()
 	if h.suspended == nil {
 		h.suspended = make(map[string]*suspendedGuest)
