@@ -279,7 +279,7 @@ func MigTamper(h *xvtpm.Host, g *xvtpm.Guest, peer *xvtpm.Host) (Result, error) 
 		return Result{}, fmt.Errorf("attack: envelope too small to tamper")
 	}
 	tampered[40] ^= 0xFF
-	forged := &vtpm.InstanceImage{Launch: img.Launch, StateEnvelope: tampered}
+	forged := &vtpm.InstanceImage{Launch: img.Launch, Profile: img.Profile, StateEnvelope: tampered}
 	_, importErr := peer.Manager.ImportInstance(forged)
 	r := Result{
 		Kind:      KindMigTamper,

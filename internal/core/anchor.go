@@ -108,14 +108,9 @@ func (a *AuditAnchor) VerifyAgainstAnchor(records []AuditRecord) error {
 // Policy serialization: the management plane persists policies across
 // manager restarts and ships them between hosts. The format is the tpm wire
 // style: count ∥ rules(identity 20 ∥ instance 4 ∥ profile 1 ∥ group B16 ∥
-// ordinal 4 ∥ effect 1), prefixed with a magic. XPOL1 blobs (pre-profile,
-// no profile byte) still parse; their rules load with the AnyProfile
-// wildcard, which preserves their original meaning.
+// ordinal 4 ∥ effect 1), prefixed with a magic.
 
-var (
-	policyMagic       = []byte("XPOL2")
-	policyMagicLegacy = []byte("XPOL1")
-)
+var policyMagic = []byte("XPOL2")
 
 // MarshalBinary serializes the policy's rules (cache state is not
 // persisted).
@@ -138,11 +133,7 @@ func (p *Policy) MarshalBinary() ([]byte, error) {
 // UnmarshalPolicy parses a MarshalBinary blob into a fresh policy.
 func UnmarshalPolicy(data []byte) (*Policy, error) {
 	r := tpm.NewReader(data)
-	magic := r.Raw(len(policyMagic))
-	legacy := false
-	if r.Err() == nil && bytes.Equal(magic, policyMagicLegacy) {
-		legacy = true
-	} else if r.Err() != nil || !bytes.Equal(magic, policyMagic) {
+	if magic := r.Raw(len(policyMagic)); r.Err() != nil || !bytes.Equal(magic, policyMagic) {
 		return nil, fmt.Errorf("core: not a policy blob")
 	}
 	n := r.U32()
@@ -151,11 +142,9 @@ func UnmarshalPolicy(data []byte) (*Policy, error) {
 		var rule Rule
 		copy(rule.Identity[:], r.Raw(len(rule.Identity)))
 		rule.Instance = vtpm.InstanceID(r.U32())
-		if !legacy {
-			rule.Profile = tpm.Profile(r.U8())
-			if rule.Profile != tpm.AnyProfile && rule.Profile != tpm.Profile12 && rule.Profile != tpm.Profile20 {
-				return nil, fmt.Errorf("core: rule %d names unknown profile %d", i, uint8(rule.Profile))
-			}
+		rule.Profile = tpm.Profile(r.U8())
+		if rule.Profile != tpm.AnyProfile && rule.Profile != tpm.Profile12 && rule.Profile != tpm.Profile20 {
+			return nil, fmt.Errorf("core: rule %d names unknown profile %d", i, uint8(rule.Profile))
 		}
 		rule.Group = Group(r.B16())
 		rule.Ordinal = r.U32()

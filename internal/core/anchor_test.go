@@ -170,3 +170,21 @@ func TestUnmarshalPolicyRejectsGarbage(t *testing.T) {
 		t.Fatal("invalid effect accepted")
 	}
 }
+
+// TestUnmarshalPolicyRejectsXPOL1 pins that the pre-profile XPOL1 format is
+// refused outright: a well-formed XPOL1 blob (rules without the profile
+// byte) must not load, whatever its rules say.
+func TestUnmarshalPolicyRejectsXPOL1(t *testing.T) {
+	id := launchOf("guest")
+	w := tpm.NewWriter()
+	w.Raw([]byte("XPOL1"))
+	w.U32(1)
+	w.Raw(id[:])
+	w.U32(3)
+	w.B16([]byte(GroupPCR))
+	w.U32(0)
+	w.U8(byte(Allow))
+	if _, err := UnmarshalPolicy(w.Bytes()); err == nil {
+		t.Fatal("XPOL1 policy blob accepted")
+	}
+}

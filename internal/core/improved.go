@@ -271,15 +271,8 @@ func (g *ImprovedGuard) EncoderFor(inst vtpm.InstanceInfo) (vtpm.GuestCodec, err
 }
 
 // ProtectState implements vtpm.Guard: envelope the state under the
-// instance's derived key.
-func (g *ImprovedGuard) ProtectState(inst vtpm.InstanceInfo, state []byte) ([]byte, error) {
-	return stateSeal(g.keys.InstanceKey(inst.ID), state)
-}
-
-// ProtectStateAppend implements vtpm.StateProtectorAppend: the envelope is
-// built into dst, so the manager's checkpoint pipeline reuses one buffer per
-// instance instead of allocating per persist.
-func (g *ImprovedGuard) ProtectStateAppend(inst vtpm.InstanceInfo, dst, state []byte) ([]byte, error) {
+// instance's derived key, appended to dst.
+func (g *ImprovedGuard) ProtectState(inst vtpm.InstanceInfo, dst, state []byte) ([]byte, error) {
 	return stateSealAppend(dst, g.keys.InstanceKey(inst.ID), state)
 }
 

@@ -87,23 +87,23 @@ func TestCompareBenchAllocGrowthAndMissing(t *testing.T) {
 }
 
 // TestCompareBenchPipelineRatioGate covers the throughput rows: wall-clock
-// ns/op drift on them is exempt from the absolute tolerance, and the
-// synthetic GuestPipelineSpeedup row enforces the depth-8 vs lockstep ratio
-// within the current run instead.
+// ns/op drift on the depth-8 row is exempt from the absolute tolerance, the
+// depth-1 row keeps it, and the synthetic GuestPipelineSpeedup row enforces
+// that depth 8 is never slower than depth 1 within the current run.
 func TestCompareBenchPipelineRatioGate(t *testing.T) {
 	base := gateReport(
-		BenchResult{Name: benchLockstepName, NsPerOp: 90000, AllocsPerOp: 7},
+		BenchResult{Name: benchLockstepName, NsPerOp: 9000, AllocsPerOp: 7},
 		BenchResult{Name: benchPipelinedName, NsPerOp: 5500, AllocsPerOp: 8},
 	)
-	// 3x slower wall clock on both rows (scheduler noise), but the ratio
-	// between them still clears the floor: the gate must pass.
+	// 3x slower wall clock on the depth-8 row (scheduler noise), still
+	// faster than depth 1: the gate must pass.
 	cur := gateReport(
-		BenchResult{Name: benchLockstepName, NsPerOp: 270000, AllocsPerOp: 7},
-		BenchResult{Name: benchPipelinedName, NsPerOp: 16500, AllocsPerOp: 8},
+		BenchResult{Name: benchLockstepName, NsPerOp: 9000, AllocsPerOp: 7},
+		BenchResult{Name: benchPipelinedName, NsPerOp: 8000, AllocsPerOp: 8},
 	)
 	deltas, ok := CompareBench(base, cur, DefaultBenchTolerance)
 	if !ok {
-		t.Fatalf("ratio-gated rows failed on absolute ns/op drift: %+v", deltas)
+		t.Fatalf("ratio-gated row failed on absolute ns/op drift: %+v", deltas)
 	}
 	if len(deltas) != 3 {
 		t.Fatalf("got %d deltas, want 2 rows + synthetic speedup: %+v", len(deltas), deltas)
@@ -118,24 +118,38 @@ func TestCompareBenchPipelineRatioGate(t *testing.T) {
 		t.Fatalf("rendered table missing ratio-gate rows:\n%s", out)
 	}
 
-	// Collapse the pipelined advantage below the floor: the synthetic row
-	// alone must fail the gate.
+	// The depth-1 row is not ratio-gated: 3x slower fails on its own.
 	cur = gateReport(
-		BenchResult{Name: benchLockstepName, NsPerOp: 90000, AllocsPerOp: 7},
-		BenchResult{Name: benchPipelinedName, NsPerOp: 45000, AllocsPerOp: 8}, // only 2x
+		BenchResult{Name: benchLockstepName, NsPerOp: 27000, AllocsPerOp: 7},
+		BenchResult{Name: benchPipelinedName, NsPerOp: 5500, AllocsPerOp: 8},
+	)
+	deltas, ok = CompareBench(base, cur, DefaultBenchTolerance)
+	if ok || !deltas[0].Fail || !strings.Contains(deltas[0].Reason, "ns/op") {
+		t.Fatalf("depth-1 regression passed the gate: %+v", deltas)
+	}
+
+	// Depth 8 slower than depth 1: the synthetic row alone must fail.
+	cur = gateReport(
+		BenchResult{Name: benchLockstepName, NsPerOp: 9000, AllocsPerOp: 7},
+		BenchResult{Name: benchPipelinedName, NsPerOp: 12000, AllocsPerOp: 8},
 	)
 	deltas, ok = CompareBench(base, cur, DefaultBenchTolerance)
 	if ok {
-		t.Fatalf("2x speedup passed a 3x floor: %+v", deltas)
+		t.Fatalf("depth 8 slower than depth 1 passed: %+v", deltas)
 	}
 	syn = deltas[len(deltas)-1]
 	if !syn.Synthetic || !syn.Fail || !strings.Contains(syn.Reason, "lockstep rate") {
 		t.Fatalf("speedup failure not on the synthetic row: %+v", deltas)
 	}
+	for _, d := range deltas[:len(deltas)-1] {
+		if d.Fail {
+			t.Fatalf("row %s failed; only the synthetic row should: %+v", d.Name, deltas)
+		}
+	}
 
 	// Alloc growth on a ratio-gated row is still an absolute failure.
 	cur = gateReport(
-		BenchResult{Name: benchLockstepName, NsPerOp: 90000, AllocsPerOp: 7},
+		BenchResult{Name: benchLockstepName, NsPerOp: 9000, AllocsPerOp: 7},
 		BenchResult{Name: benchPipelinedName, NsPerOp: 5500, AllocsPerOp: 12},
 	)
 	if deltas, ok = CompareBench(base, cur, DefaultBenchTolerance); ok {

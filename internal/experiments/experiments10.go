@@ -124,7 +124,8 @@ func e17PutStorm(store vtpm.Store, n, workers int, blob []byte) (time.Duration, 
 }
 
 // e17DonorBlob serializes one freshly-started TPM 1.2 engine and wraps it
-// the way the manager's checkpoint path would under the baseline guard.
+// the way the manager's checkpoint path would under the baseline guard:
+// checkpoint header, then the (plaintext) guard envelope.
 func e17DonorBlob(cfg Config) ([]byte, error) {
 	eng, err := tpm.NewEngine(tpm.Profile12, tpm.Config{RSABits: cfg.bits(), Seed: []byte("e17-donor")})
 	if err != nil {
@@ -134,8 +135,8 @@ func e17DonorBlob(cfg Config) ([]byte, error) {
 		return nil, err
 	}
 	state := eng.AppendState(nil)
-	return core.NewBaselineGuard().ProtectState(
-		vtpm.InstanceInfo{ID: 1, Profile: tpm.Profile12}, state)
+	return core.NewBaselineGuard().ProtectState(vtpm.InstanceInfo{ID: 1, Profile: tpm.Profile12},
+		vtpm.AppendCheckpointHeader(nil, tpm.Profile12, 0), state)
 }
 
 // E17LogStore runs the four phases and renders the summary table.

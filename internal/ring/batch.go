@@ -35,13 +35,6 @@ func (b *Batch) Frame(i int) (id uint64, payload []byte) {
 	return b.ids[i], b.buf[start:b.ends[i]]
 }
 
-// Append copies payload into the batch as a new frame tagged id.
-func (b *Batch) Append(id uint64, payload []byte) {
-	b.buf = append(b.buf, payload...)
-	b.ids = append(b.ids, id)
-	b.ends = append(b.ends, len(b.buf))
-}
-
 // Take hands the caller the scratch buffer so a producer can append one
 // frame's payload in place (avoiding an intermediate copy); the extended
 // buffer must be returned through Commit before the next Take.
@@ -55,46 +48,6 @@ func (b *Batch) Commit(id uint64, buf []byte) {
 	b.ends = append(b.ends, len(b.buf))
 }
 
-// EnqueueRequestBatch publishes every payload as a request frame, in order,
-// blocking while the ring is full, and fires the request callback and
-// condition once for the whole batch — so one event-channel notify can cover
-// N frames. The assigned ids are appended to ids and returned.
-func (r *Ring) EnqueueRequestBatch(ids []uint64, payloads ...[]byte) ([]uint64, error) {
-	for _, p := range payloads {
-		if uint32(len(p)) > r.slotSize {
-			return ids, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(p), r.slotSize)
-		}
-	}
-	r.mu.Lock()
-	for _, p := range payloads {
-		if !r.closed && r.reqProd()-r.rspCons >= r.numSlots {
-			r.fullWaits++
-			for !r.closed && r.reqProd()-r.rspCons >= r.numSlots {
-				r.notFull.Wait()
-			}
-		}
-		if r.closed {
-			r.mu.Unlock()
-			return ids, ErrClosed
-		}
-		r.requests++
-		r.nextID++
-		prod := r.reqProd()
-		r.bus.BeginWrite()
-		writeSlot(r.slot(prod), slotRequest, r.nextID, p)
-		r.setReqProd(prod + 1)
-		r.bus.EndWrite()
-		ids = append(ids, r.nextID)
-	}
-	cb := r.onRequest
-	r.mu.Unlock()
-	r.haveReq.Broadcast()
-	if cb != nil && len(payloads) > 0 {
-		cb()
-	}
-	return ids, nil
-}
-
 // DequeueRequestBatchInto drains pending requests into b (which is Reset
 // first), up to max frames (max <= 0 drains everything pending). It never
 // blocks; n == 0 means the ring was empty. The backend's batched service
@@ -106,6 +59,8 @@ func (r *Ring) DequeueRequestBatchInto(b *Batch, max int) (int, error) {
 	if r.closed {
 		return 0, ErrClosed
 	}
+	r.bus.BeginWrite()
+	defer r.bus.EndWrite()
 	n := 0
 	for r.reqCons != r.reqProd() && (max <= 0 || n < max) {
 		start := len(b.buf)
@@ -131,8 +86,9 @@ func (r *Ring) DequeueRequestBatchInto(b *Batch, max int) (int, error) {
 }
 
 // EnqueueResponseBatch publishes every frame in b as a response, in order,
-// firing the response callback and condition once for the whole batch. The
-// same in-order and id-match rules as EnqueueResponse apply per frame.
+// overwriting the slot each answered request occupied. Responses must be
+// produced in request order (ErrOutOfOrder otherwise) and each frame's id
+// must match its request slot (ErrUnknownID otherwise).
 func (r *Ring) EnqueueResponseBatch(b *Batch) error {
 	for i := 0; i < b.Len(); i++ {
 		_, p := b.Frame(i)
@@ -141,43 +97,35 @@ func (r *Ring) EnqueueResponseBatch(b *Batch) error {
 		}
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return ErrClosed
+	}
+	r.bus.BeginWrite()
+	defer r.bus.EndWrite()
 	for i := 0; i < b.Len(); i++ {
-		if r.closed {
-			r.mu.Unlock()
-			return ErrClosed
-		}
 		id, p := b.Frame(i)
 		prod := r.rspProd()
 		if prod >= r.reqCons {
-			r.mu.Unlock()
 			return ErrOutOfOrder
 		}
 		s := r.slot(prod)
 		_, slotID := slotHeader(s)
 		if slotID != id {
-			r.mu.Unlock()
 			return fmt.Errorf("%w: slot holds %d, got %d", ErrUnknownID, slotID, id)
 		}
-		r.bus.BeginWrite()
 		writeSlot(s, slotResponse, id, p)
 		r.setRspProd(prod + 1)
-		r.bus.EndWrite()
 		r.responses++
-	}
-	cb := r.onResponse
-	r.mu.Unlock()
-	r.haveRsp.Broadcast()
-	if cb != nil && b.Len() > 0 {
-		cb()
 	}
 	return nil
 }
 
 // DequeueResponseBatchInto drains pending responses into b (Reset first), up
 // to max frames (max <= 0 drains everything pending), zeroizing and freeing
-// each slot. It never blocks; n == 0 means no responses were pending. A
-// pipelined frontend calls this once per wakeup and matches the drained
-// frames to in-flight commands by id.
+// each slot. It never blocks; n == 0 means no responses were pending. The
+// frontend calls this once per wakeup and matches the drained frames to
+// in-flight commands by id.
 func (r *Ring) DequeueResponseBatchInto(b *Batch, max int) (int, error) {
 	b.Reset()
 	r.mu.Lock()
@@ -185,6 +133,8 @@ func (r *Ring) DequeueResponseBatchInto(b *Batch, max int) (int, error) {
 	if r.closed {
 		return 0, ErrClosed
 	}
+	r.bus.BeginWrite()
+	defer r.bus.EndWrite()
 	n := 0
 	for r.rspCons != r.rspProd() && (max <= 0 || n < max) {
 		s := r.slot(r.rspCons)
@@ -199,9 +149,7 @@ func (r *Ring) DequeueResponseBatchInto(b *Batch, max int) (int, error) {
 		b.ends = append(b.ends, len(b.buf))
 		// Free the slot: zeroize so completed exchanges do not linger in
 		// shared memory for a dump to harvest.
-		r.bus.BeginWrite()
 		zeroizeSlot(s)
-		r.bus.EndWrite()
 		r.rspCons++
 		n++
 	}

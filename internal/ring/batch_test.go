@@ -7,16 +7,29 @@ import (
 	"testing"
 )
 
+// enqueueAll publishes each payload as one request, returning the ids.
+func enqueueAll(t *testing.T, r *Ring, payloads ...[]byte) []uint64 {
+	t.Helper()
+	ids := make([]uint64, 0, len(payloads))
+	for _, p := range payloads {
+		id, err := r.EnqueueRequest(p)
+		if err != nil {
+			t.Fatalf("EnqueueRequest: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// appendFrame adds one frame to a response batch.
+func appendFrame(b *Batch, id uint64, payload []byte) {
+	b.Commit(id, append(b.Take(), payload...))
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 8, SlotSize: 256})
 	payloads := [][]byte{[]byte("alpha"), []byte("bb"), []byte("gamma-long-payload"), []byte("d")}
-	ids, err := r.EnqueueRequestBatch(nil, payloads...)
-	if err != nil {
-		t.Fatalf("EnqueueRequestBatch: %v", err)
-	}
-	if len(ids) != len(payloads) {
-		t.Fatalf("got %d ids, want %d", len(ids), len(payloads))
-	}
+	ids := enqueueAll(t, r, payloads...)
 
 	var req Batch
 	n, err := r.DequeueRequestBatchInto(&req, 0)
@@ -32,7 +45,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		if id != ids[i] || !bytes.Equal(p, payloads[i]) {
 			t.Fatalf("frame %d = (%d, %q), want (%d, %q)", i, id, p, ids[i], payloads[i])
 		}
-		rsp.Append(id, append([]byte("re:"), p...))
+		appendFrame(&rsp, id, append([]byte("re:"), p...))
 	}
 	if err := r.EnqueueResponseBatch(&rsp); err != nil {
 		t.Fatalf("EnqueueResponseBatch: %v", err)
@@ -61,9 +74,7 @@ func TestBatchDequeueMax(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		payloads = append(payloads, []byte{byte(i)})
 	}
-	if _, err := r.EnqueueRequestBatch(nil, payloads...); err != nil {
-		t.Fatal(err)
-	}
+	enqueueAll(t, r, payloads...)
 	var b Batch
 	n, err := r.DequeueRequestBatchInto(&b, 4)
 	if err != nil || n != 4 {
@@ -87,13 +98,9 @@ func TestBatchStatsCountDrains(t *testing.T) {
 	var b Batch
 	// Two non-empty drains of 3 and 2 frames; empty drains must not count.
 	r.DequeueRequestBatchInto(&b, 0)
-	if _, err := r.EnqueueRequestBatch(nil, []byte("a"), []byte("b"), []byte("c")); err != nil {
-		t.Fatal(err)
-	}
+	enqueueAll(t, r, []byte("a"), []byte("b"), []byte("c"))
 	r.DequeueRequestBatchInto(&b, 0)
-	if _, err := r.EnqueueRequestBatch(nil, []byte("d"), []byte("e")); err != nil {
-		t.Fatal(err)
-	}
+	enqueueAll(t, r, []byte("d"), []byte("e"))
 	r.DequeueRequestBatchInto(&b, 0)
 	s := r.Stats()
 	if s.BatchDrains != 2 || s.BatchFrames != 5 {
@@ -103,10 +110,7 @@ func TestBatchStatsCountDrains(t *testing.T) {
 
 func TestBatchResponseIDMismatch(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 64})
-	ids, err := r.EnqueueRequestBatch(nil, []byte("x"), []byte("y"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := enqueueAll(t, r, []byte("x"), []byte("y"))
 	var req Batch
 	if _, err := r.DequeueRequestBatchInto(&req, 0); err != nil {
 		t.Fatal(err)
@@ -114,8 +118,8 @@ func TestBatchResponseIDMismatch(t *testing.T) {
 	// Responses must land in request order with matching ids: swapping the
 	// two ids must be refused at the first frame.
 	var rsp Batch
-	rsp.Append(ids[1], []byte("r1"))
-	rsp.Append(ids[0], []byte("r0"))
+	appendFrame(&rsp, ids[1], []byte("r1"))
+	appendFrame(&rsp, ids[0], []byte("r0"))
 	if err := r.EnqueueResponseBatch(&rsp); !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("err = %v, want ErrUnknownID", err)
 	}
@@ -123,8 +127,19 @@ func TestBatchResponseIDMismatch(t *testing.T) {
 
 func TestBatchRejectsOversizedFrame(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 16})
-	if _, err := r.EnqueueRequestBatch(nil, []byte("ok"), make([]byte, 17)); !errors.Is(err, ErrTooLarge) {
+	ids := enqueueAll(t, r, []byte("a"), []byte("b"))
+	var req, rsp Batch
+	if _, err := r.DequeueRequestBatchInto(&req, 0); err != nil {
+		t.Fatal(err)
+	}
+	// One oversized frame refuses the whole batch before anything publishes.
+	appendFrame(&rsp, ids[0], []byte("ok"))
+	appendFrame(&rsp, ids[1], make([]byte, 17))
+	if err := r.EnqueueResponseBatch(&rsp); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+	if s := r.Stats(); s.Responses != 0 || s.PendingResponses != 0 {
+		t.Fatalf("oversized batch published frames: %+v", s)
 	}
 }
 
@@ -135,10 +150,7 @@ func TestBatchFillsWholeRing(t *testing.T) {
 	for i := 0; i < int(g.NumSlots); i++ {
 		payloads = append(payloads, []byte(fmt.Sprintf("p%d", i)))
 	}
-	ids, err := r.EnqueueRequestBatch(nil, payloads...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enqueueAll(t, r, payloads...)
 	var req, rsp Batch
 	n, err := r.DequeueRequestBatchInto(&req, 0)
 	if err != nil || n != int(g.NumSlots) {
@@ -155,7 +167,6 @@ func TestBatchFillsWholeRing(t *testing.T) {
 	if n, err := r.DequeueResponseBatchInto(&back, 0); err != nil || n != int(g.NumSlots) {
 		t.Fatalf("response drain = (%d, %v)", n, err)
 	}
-	_ = ids
 }
 
 func TestNotifyFlagsDefaultOnAndToggle(t *testing.T) {
@@ -182,15 +193,12 @@ func TestNotifyFlagsDefaultOnAndToggle(t *testing.T) {
 func TestBatchZeroizesDrainedResponseSlots(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 64})
 	secret := []byte("super-secret-response")
-	ids, err := r.EnqueueRequestBatch(nil, []byte("q"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := enqueueAll(t, r, []byte("q"))
 	var req, rsp, back Batch
 	if _, err := r.DequeueRequestBatchInto(&req, 0); err != nil {
 		t.Fatal(err)
 	}
-	rsp.Append(ids[0], secret)
+	appendFrame(&rsp, ids[0], secret)
 	if err := r.EnqueueResponseBatch(&rsp); err != nil {
 		t.Fatal(err)
 	}

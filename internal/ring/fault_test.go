@@ -12,15 +12,15 @@ func TestDequeueFaultTruncatesRequest(t *testing.T) {
 	if _, err := r.EnqueueRequest(want); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := r.DequeueRequest()
+	_, payload, _, err := dequeueOne(r.DequeueRequestBatchInto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(payload, want[:len(want)/2]) {
 		t.Fatalf("payload = %q, want truncated %q", payload, want[:len(want)/2])
 	}
-	if got := r.FaultedFrames(); got != 1 {
-		t.Fatalf("FaultedFrames = %d, want 1", got)
+	if got := r.Stats().Faulted; got != 1 {
+		t.Fatalf("Faulted = %d, want 1", got)
 	}
 	// The shared slot still holds the full request; only the dequeued view
 	// was torn, so the response path is unaffected.
@@ -33,22 +33,22 @@ func TestDequeueFaultTruncatesResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.DequeueRequest(); err != nil {
+	if _, _, _, err := dequeueOne(r.DequeueRequestBatchInto); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.EnqueueResponse(id, []byte("full response")); err != nil {
+	if err := respond(r, id, []byte("full response")); err != nil {
 		t.Fatal(err)
 	}
 	r.SetDequeueFault(func(p []byte) []byte { return p[:4] })
-	_, payload, err := r.DequeueResponse()
+	_, payload, _, err := dequeueOne(r.DequeueResponseBatchInto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(payload) != "full" {
 		t.Fatalf("payload = %q, want %q", payload, "full")
 	}
-	if got := r.FaultedFrames(); got != 1 {
-		t.Fatalf("FaultedFrames = %d, want 1", got)
+	if got := r.Stats().Faulted; got != 1 {
+		t.Fatalf("Faulted = %d, want 1", got)
 	}
 }
 
@@ -58,14 +58,14 @@ func TestDequeueFaultPassThroughNotCounted(t *testing.T) {
 	if _, err := r.EnqueueRequest([]byte("intact")); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := r.DequeueRequest()
+	_, payload, _, err := dequeueOne(r.DequeueRequestBatchInto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(payload) != "intact" {
 		t.Fatalf("payload = %q", payload)
 	}
-	if got := r.FaultedFrames(); got != 0 {
-		t.Fatalf("FaultedFrames = %d, want 0", got)
+	if got := r.Stats().Faulted; got != 0 {
+		t.Fatalf("Faulted = %d, want 0", got)
 	}
 }

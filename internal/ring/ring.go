@@ -61,11 +61,14 @@ var (
 // Ring is one shared request/response ring connecting a frontend (guest) and a
 // backend (driver domain). Both ends hold the same *Ring; the role split is
 // purely in which methods each end calls.
+//
+// Every access to the shared region runs inside the owning domain's memory
+// bus (BeginWrite/EndWrite, the bus's shared side), so a whole-memory
+// observer — a core dump, or the scrub of a destroyed domain — never races a
+// ring operation. A section never spans a condition wait.
 type Ring struct {
 	mu       sync.Mutex
 	notFull  sync.Cond // frontend waits here for a free slot
-	haveReq  sync.Cond // backend waits here for a request
-	haveRsp  sync.Cond // frontend waits here for a response
 	region   []byte
 	bus      *xen.MemBus // memory bus of the domain owning the region
 	numSlots uint32
@@ -77,12 +80,6 @@ type Ring struct {
 
 	nextID uint64
 	closed bool
-
-	// onRequest and onResponse, when non-nil, are invoked (outside the ring
-	// lock) after a request or response is published. Drivers use them to
-	// send event-channel notifications.
-	onRequest  func()
-	onResponse func()
 
 	// dequeueFault, when non-nil, rewrites every dequeued payload before it
 	// reaches the consumer — fault injection for torn/truncated frames. It
@@ -127,6 +124,8 @@ type Stats struct {
 func (r *Ring) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.bus.BeginWrite()
+	defer r.bus.EndWrite()
 	return Stats{
 		Requests:         r.requests,
 		Responses:        r.responses,
@@ -146,13 +145,6 @@ func (r *Ring) SetDequeueFault(fn func(payload []byte) []byte) {
 	r.mu.Lock()
 	r.dequeueFault = fn
 	r.mu.Unlock()
-}
-
-// FaultedFrames returns how many dequeued payloads the fault hook rewrote.
-func (r *Ring) FaultedFrames() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.faulted
 }
 
 // applyDequeueFault runs the fault hook over a just-dequeued payload.
@@ -203,9 +195,7 @@ func Init(region []byte, g Geometry, bus *xen.MemBus) (*Ring, error) {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrBadRegion, len(region), g.RegionSize())
 	}
 	bus.BeginWrite()
-	for i := range region[:g.RegionSize()] {
-		region[i] = 0
-	}
+	clear(region[:g.RegionSize()])
 	binary.LittleEndian.PutUint32(region[offNumSlots:], g.NumSlots)
 	binary.LittleEndian.PutUint32(region[offSlotSize:], g.SlotSize)
 	// Both ends start out wanting doorbells; consumers that run the batched
@@ -215,8 +205,6 @@ func Init(region []byte, g Geometry, bus *xen.MemBus) (*Ring, error) {
 	bus.EndWrite()
 	r := &Ring{region: region, bus: bus, numSlots: g.NumSlots, slotSize: g.SlotSize}
 	r.notFull.L = &r.mu
-	r.haveReq.L = &r.mu
-	r.haveRsp.L = &r.mu
 	registryMu.Lock()
 	registry[&region[0]] = r
 	registryMu.Unlock()
@@ -239,12 +227,6 @@ func Attach(region []byte) (*Ring, error) {
 	return r, nil
 }
 
-// OnRequest registers a callback fired after each request is published.
-func (r *Ring) OnRequest(fn func()) { r.mu.Lock(); r.onRequest = fn; r.mu.Unlock() }
-
-// OnResponse registers a callback fired after each response is published.
-func (r *Ring) OnResponse(fn func()) { r.mu.Lock(); r.onResponse = fn; r.mu.Unlock() }
-
 // Close shuts the ring down. Blocked and future operations fail with ErrClosed.
 func (r *Ring) Close() {
 	registryMu.Lock()
@@ -254,17 +236,9 @@ func (r *Ring) Close() {
 	r.closed = true
 	r.mu.Unlock()
 	r.notFull.Broadcast()
-	r.haveReq.Broadcast()
-	r.haveRsp.Broadcast()
 }
 
-// Closed reports whether Close has been called.
-func (r *Ring) Closed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
-
+// Shared-header and slot accessors. Callers hold r.mu and the memory bus.
 func (r *Ring) reqProd() uint32 { return binary.LittleEndian.Uint32(r.region[offReqProd:]) }
 func (r *Ring) rspProd() uint32 { return binary.LittleEndian.Uint32(r.region[offRspProd:]) }
 func (r *Ring) setReqProd(v uint32) {
@@ -299,10 +273,6 @@ func writeSlot(s []byte, status byte, id uint64, payload []byte) {
 	}
 }
 
-func readSlot(s []byte) (status byte, id uint64, payload []byte) {
-	return readSlotInto(s, nil)
-}
-
 // slotHeader reads a slot's status and id without copying the payload — the
 // response-enqueue id check uses it so matching a response to its request
 // slot costs no allocation.
@@ -322,8 +292,8 @@ func zeroizeSlot(s []byte) {
 	clear(s[:end])
 }
 
-// readSlotInto is readSlot appending the payload to buf instead of
-// allocating a fresh slice — the backend service loop's pop path.
+// readSlotInto reads a slot's status and id and appends its payload to buf —
+// typically a batch scratch buffer reused across drains.
 func readSlotInto(s, buf []byte) (status byte, id uint64, payload []byte) {
 	status = s[0]
 	id = binary.LittleEndian.Uint64(s[4:])
@@ -336,193 +306,34 @@ func readSlotInto(s, buf []byte) (status byte, id uint64, payload []byte) {
 }
 
 // EnqueueRequest publishes a request on the ring, blocking while the ring is
-// full. It returns the request ID the response will carry.
+// full. It returns the request ID the response will carry. The frontend
+// calls this.
 func (r *Ring) EnqueueRequest(payload []byte) (uint64, error) {
 	if uint32(len(payload)) > r.slotSize {
 		return 0, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), r.slotSize)
 	}
 	r.mu.Lock()
-	if !r.closed && r.reqProd()-r.rspCons >= r.numSlots {
-		r.fullWaits++
-		for !r.closed && r.reqProd()-r.rspCons >= r.numSlots {
-			r.notFull.Wait()
+	defer r.mu.Unlock()
+	for waited := false; ; waited = true {
+		if r.closed {
+			return 0, ErrClosed
 		}
+		r.bus.BeginWrite()
+		prod := r.reqProd()
+		if prod-r.rspCons < r.numSlots {
+			r.requests++
+			r.nextID++
+			writeSlot(r.slot(prod), slotRequest, r.nextID, payload)
+			r.setReqProd(prod + 1)
+			r.bus.EndWrite()
+			return r.nextID, nil
+		}
+		r.bus.EndWrite()
+		if !waited {
+			r.fullWaits++
+		}
+		r.notFull.Wait()
 	}
-	if r.closed {
-		r.mu.Unlock()
-		return 0, ErrClosed
-	}
-	r.requests++
-	r.nextID++
-	id := r.nextID
-	prod := r.reqProd()
-	r.bus.BeginWrite()
-	writeSlot(r.slot(prod), slotRequest, id, payload)
-	r.setReqProd(prod + 1)
-	r.bus.EndWrite()
-	cb := r.onRequest
-	r.mu.Unlock()
-	r.haveReq.Signal()
-	if cb != nil {
-		cb()
-	}
-	return id, nil
-}
-
-// DequeueRequest removes the oldest unprocessed request, blocking until one is
-// available. The backend calls this.
-func (r *Ring) DequeueRequest() (uint64, []byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for !r.closed && r.reqCons == r.reqProd() {
-		r.haveReq.Wait()
-	}
-	if r.closed {
-		return 0, nil, ErrClosed
-	}
-	status, id, payload := readSlot(r.slot(r.reqCons))
-	if status != slotRequest {
-		return 0, nil, fmt.Errorf("ring: slot %d has status %d, want request", r.reqCons, status)
-	}
-	r.reqCons++
-	return id, r.applyDequeueFault(payload), nil
-}
-
-// TryDequeueRequest is the non-blocking variant of DequeueRequest; ok is false
-// when no request is pending.
-func (r *Ring) TryDequeueRequest() (id uint64, payload []byte, ok bool, err error) {
-	return r.TryDequeueRequestInto(nil)
-}
-
-// TryDequeueRequestInto is TryDequeueRequest with the payload appended to buf
-// — typically buf[:0] of a scratch slice the caller reuses across pops, so a
-// steady service loop dequeues without allocating. The returned payload
-// aliases buf's array when capacity sufficed.
-func (r *Ring) TryDequeueRequestInto(buf []byte) (id uint64, payload []byte, ok bool, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return 0, nil, false, ErrClosed
-	}
-	if r.reqCons == r.reqProd() {
-		return 0, nil, false, nil
-	}
-	status, id, payload := readSlotInto(r.slot(r.reqCons), buf)
-	if status != slotRequest {
-		return 0, nil, false, fmt.Errorf("ring: slot %d has status %d, want request", r.reqCons, status)
-	}
-	r.reqCons++
-	return id, r.applyDequeueFault(payload), true, nil
-}
-
-// TryDequeueResponse is the non-blocking variant of DequeueResponse; ok is
-// false when no response is pending.
-func (r *Ring) TryDequeueResponse() (id uint64, payload []byte, ok bool, err error) {
-	return r.TryDequeueResponseInto(nil)
-}
-
-// TryDequeueResponseInto is TryDequeueResponse with the payload appended to
-// buf — typically buf[:0] of a scratch slice the frontend reuses across pops,
-// mirroring TryDequeueRequestInto on the backend side.
-func (r *Ring) TryDequeueResponseInto(buf []byte) (id uint64, payload []byte, ok bool, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return 0, nil, false, ErrClosed
-	}
-	if r.rspCons == r.rspProd() {
-		return 0, nil, false, nil
-	}
-	s := r.slot(r.rspCons)
-	status, id, payload := readSlotInto(s, buf)
-	if status != slotResponse {
-		return 0, nil, false, fmt.Errorf("ring: slot %d has status %d, want response", r.rspCons, status)
-	}
-	r.bus.BeginWrite()
-	zeroizeSlot(s)
-	r.bus.EndWrite()
-	r.rspCons++
-	r.notFull.Signal()
-	return id, r.applyDequeueFault(payload), true, nil
-}
-
-// EnqueueResponse publishes the response for request id, overwriting the slot
-// the request occupied. Responses must be produced in request order, which the
-// serial TPM command model guarantees.
-func (r *Ring) EnqueueResponse(id uint64, payload []byte) error {
-	if uint32(len(payload)) > r.slotSize {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), r.slotSize)
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	prod := r.rspProd()
-	if prod >= r.reqCons {
-		r.mu.Unlock()
-		return ErrOutOfOrder
-	}
-	s := r.slot(prod)
-	_, slotID := slotHeader(s)
-	if slotID != id {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: slot holds %d, got %d", ErrUnknownID, slotID, id)
-	}
-	r.bus.BeginWrite()
-	writeSlot(s, slotResponse, id, payload)
-	r.setRspProd(prod + 1)
-	r.bus.EndWrite()
-	r.responses++
-	cb := r.onResponse
-	r.mu.Unlock()
-	r.haveRsp.Signal()
-	if cb != nil {
-		cb()
-	}
-	return nil
-}
-
-// DequeueResponse removes the oldest unconsumed response, blocking until one
-// is available. The frontend calls this.
-func (r *Ring) DequeueResponse() (uint64, []byte, error) {
-	r.mu.Lock()
-	for !r.closed && r.rspCons == r.rspProd() {
-		r.haveRsp.Wait()
-	}
-	if r.closed {
-		r.mu.Unlock()
-		return 0, nil, ErrClosed
-	}
-	s := r.slot(r.rspCons)
-	status, id, payload := readSlot(s)
-	if status != slotResponse {
-		r.mu.Unlock()
-		return 0, nil, fmt.Errorf("ring: slot %d has status %d, want response", r.rspCons, status)
-	}
-	// Free the slot: zeroize so completed exchanges do not linger in shared
-	// memory for a dump to harvest.
-	r.bus.BeginWrite()
-	zeroizeSlot(s)
-	r.bus.EndWrite()
-	r.rspCons++
-	payload = r.applyDequeueFault(payload)
-	r.mu.Unlock()
-	r.notFull.Signal()
-	return id, payload, nil
-}
-
-// Pending returns the number of published-but-unconsumed requests and
-// responses. It exists for tests and metrics.
-func (r *Ring) Pending() (requests, responses int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int(r.reqProd() - r.reqCons), int(r.rspProd() - r.rspCons)
-}
-
-// Geometry reports the ring's slot layout.
-func (r *Ring) Geometry() Geometry {
-	return Geometry{NumSlots: r.numSlots, SlotSize: r.slotSize}
 }
 
 // setNotifyFlag publishes a notify-wanted flag in the shared header.
@@ -541,6 +352,8 @@ func (r *Ring) setNotifyFlag(off int, on bool) {
 func (r *Ring) notifyFlag(off int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.bus.BeginWrite()
+	defer r.bus.EndWrite()
 	return r.region[off] != 0
 }
 

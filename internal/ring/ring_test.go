@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,63 @@ func newTestRing(t *testing.T, g Geometry) *Ring {
 		t.Fatalf("Init: %v", err)
 	}
 	return r
+}
+
+// dequeueOne pops at most one frame through a batched drain call
+// (r.DequeueRequestBatchInto or r.DequeueResponseBatchInto); ok is false
+// when nothing was pending.
+func dequeueOne(drain func(*Batch, int) (int, error)) (id uint64, payload []byte, ok bool, err error) {
+	var b Batch
+	n, err := drain(&b, 1)
+	if err != nil || n == 0 {
+		return 0, nil, false, err
+	}
+	id, payload = b.Frame(0)
+	return id, payload, true, nil
+}
+
+// waitOne is dequeueOne polling until a frame arrives or the ring fails.
+func waitOne(drain func(*Batch, int) (int, error)) (uint64, []byte, error) {
+	for {
+		id, p, ok, err := dequeueOne(drain)
+		if err != nil || ok {
+			return id, p, err
+		}
+		runtime.Gosched()
+	}
+}
+
+// respond publishes one response frame as a single-frame batch.
+func respond(r *Ring, id uint64, payload []byte) error {
+	var b Batch
+	appendFrame(&b, id, payload)
+	return r.EnqueueResponseBatch(&b)
+}
+
+// exchange runs one full request/response round trip, the backend echoing
+// the request payload back as the response.
+func exchange(r *Ring, payload []byte) (id uint64, req, rsp []byte, err error) {
+	if id, err = r.EnqueueRequest(payload); err != nil {
+		return 0, nil, nil, err
+	}
+	gid, req, _, err := dequeueOne(r.DequeueRequestBatchInto)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if gid != id {
+		return 0, nil, nil, fmt.Errorf("request id %d, want %d", gid, id)
+	}
+	if err := respond(r, id, req); err != nil {
+		return 0, nil, nil, err
+	}
+	rid, rsp, _, err := dequeueOne(r.DequeueResponseBatchInto)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if rid != id {
+		return 0, nil, nil, fmt.Errorf("response id %d, want %d", rid, id)
+	}
+	return id, req, rsp, nil
 }
 
 func TestInitRejectsBadGeometry(t *testing.T) {
@@ -46,19 +104,19 @@ func TestRoundTripSingle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EnqueueRequest: %v", err)
 	}
-	gotID, payload, err := r.DequeueRequest()
-	if err != nil {
-		t.Fatalf("DequeueRequest: %v", err)
+	gotID, payload, ok, err := dequeueOne(r.DequeueRequestBatchInto)
+	if err != nil || !ok {
+		t.Fatalf("request dequeue: ok=%v err=%v", ok, err)
 	}
 	if gotID != id || string(payload) != "hello tpm" {
 		t.Fatalf("got (%d, %q), want (%d, %q)", gotID, payload, id, "hello tpm")
 	}
-	if err := r.EnqueueResponse(id, []byte("resp")); err != nil {
-		t.Fatalf("EnqueueResponse: %v", err)
+	if err := respond(r, id, []byte("resp")); err != nil {
+		t.Fatalf("EnqueueResponseBatch: %v", err)
 	}
-	rid, rp, err := r.DequeueResponse()
-	if err != nil {
-		t.Fatalf("DequeueResponse: %v", err)
+	rid, rp, ok, err := dequeueOne(r.DequeueResponseBatchInto)
+	if err != nil || !ok {
+		t.Fatalf("response dequeue: ok=%v err=%v", ok, err)
 	}
 	if rid != id || string(rp) != "resp" {
 		t.Fatalf("got (%d, %q), want (%d, %q)", rid, rp, id, "resp")
@@ -70,14 +128,14 @@ func TestPayloadTooLarge(t *testing.T) {
 	if _, err := r.EnqueueRequest(make([]byte, 9)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("EnqueueRequest err = %v, want ErrTooLarge", err)
 	}
-	if err := r.EnqueueResponse(1, make([]byte, 9)); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("EnqueueResponse err = %v, want ErrTooLarge", err)
+	if err := respond(r, 1, make([]byte, 9)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("EnqueueResponseBatch err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestResponseWithoutRequestFails(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
-	if err := r.EnqueueResponse(1, []byte("x")); !errors.Is(err, ErrOutOfOrder) {
+	if err := respond(r, 1, []byte("x")); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("err = %v, want ErrOutOfOrder", err)
 	}
 }
@@ -85,10 +143,10 @@ func TestResponseWithoutRequestFails(t *testing.T) {
 func TestResponseWrongIDFails(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
 	id, _ := r.EnqueueRequest([]byte("a"))
-	if _, _, err := r.DequeueRequest(); err != nil {
+	if _, _, _, err := dequeueOne(r.DequeueRequestBatchInto); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.EnqueueResponse(id+7, []byte("x")); !errors.Is(err, ErrUnknownID) {
+	if err := respond(r, id+7, []byte("x")); !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("err = %v, want ErrUnknownID", err)
 	}
 }
@@ -106,14 +164,14 @@ func TestBlockingWhenFullThenDrain(t *testing.T) {
 		done <- err
 	}()
 	// Drain one full exchange to free a slot.
-	id, _, err := r.DequeueRequest()
+	id, _, _, err := dequeueOne(r.DequeueRequestBatchInto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.EnqueueResponse(id, []byte("ok")); err != nil {
+	if err := respond(r, id, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.DequeueResponse(); err != nil {
+	if _, _, _, err := dequeueOne(r.DequeueResponseBatchInto); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -123,46 +181,45 @@ func TestBlockingWhenFullThenDrain(t *testing.T) {
 
 func TestCloseUnblocksWaiters(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
-	errs := make(chan error, 2)
-	go func() { _, _, err := r.DequeueRequest(); errs <- err }()
-	go func() { _, _, err := r.DequeueResponse(); errs <- err }()
-	r.Close()
 	for i := 0; i < 2; i++ {
-		if err := <-errs; !errors.Is(err, ErrClosed) {
-			t.Fatalf("waiter err = %v, want ErrClosed", err)
+		if _, err := r.EnqueueRequest([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	// The ring is full, so this producer blocks until Close releases it.
+	errs := make(chan error, 1)
+	go func() { _, err := r.EnqueueRequest([]byte("blocked")); errs <- err }()
+	for r.Stats().FullWaits == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	r.Close()
+	if err := <-errs; !errors.Is(err, ErrClosed) {
+		t.Fatalf("waiter err = %v, want ErrClosed", err)
 	}
 	if _, err := r.EnqueueRequest([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close enqueue err = %v, want ErrClosed", err)
 	}
-	if !r.Closed() {
-		t.Fatal("Closed() = false after Close")
+	var b Batch
+	if _, err := r.DequeueRequestBatchInto(&b, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close request drain err = %v, want ErrClosed", err)
+	}
+	if _, err := r.DequeueResponseBatchInto(&b, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close response drain err = %v, want ErrClosed", err)
+	}
+	if err := r.EnqueueResponseBatch(&b); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close response enqueue err = %v, want ErrClosed", err)
 	}
 }
 
-func TestTryDequeueRequest(t *testing.T) {
+func TestDequeueRequestBatchEmptyThenOne(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
-	if _, _, ok, err := r.TryDequeueRequest(); ok || err != nil {
+	if _, _, ok, err := dequeueOne(r.DequeueRequestBatchInto); ok || err != nil {
 		t.Fatalf("empty ring: ok=%v err=%v", ok, err)
 	}
 	id, _ := r.EnqueueRequest([]byte("q"))
-	gid, p, ok, err := r.TryDequeueRequest()
+	gid, p, ok, err := dequeueOne(r.DequeueRequestBatchInto)
 	if err != nil || !ok || gid != id || string(p) != "q" {
 		t.Fatalf("got (%d,%q,%v,%v)", gid, p, ok, err)
-	}
-}
-
-func TestNotifyCallbacks(t *testing.T) {
-	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
-	var reqN, rspN int
-	r.OnRequest(func() { reqN++ })
-	r.OnResponse(func() { rspN++ })
-	id, _ := r.EnqueueRequest([]byte("a"))
-	r.DequeueRequest()
-	r.EnqueueResponse(id, []byte("b"))
-	r.DequeueResponse()
-	if reqN != 1 || rspN != 1 {
-		t.Fatalf("callbacks fired req=%d rsp=%d, want 1 and 1", reqN, rspN)
 	}
 }
 
@@ -174,9 +231,9 @@ func TestSlotZeroizedAfterResponseConsumed(t *testing.T) {
 	if !bytes.Contains(region, secret) {
 		t.Fatal("request bytes should be visible in shared memory while in flight")
 	}
-	r.DequeueRequest()
-	r.EnqueueResponse(id, []byte("fine"))
-	r.DequeueResponse()
+	dequeueOne(r.DequeueRequestBatchInto)
+	respond(r, id, []byte("fine"))
+	dequeueOne(r.DequeueResponseBatchInto)
 	if bytes.Contains(region, secret) {
 		t.Fatal("request bytes still present in shared memory after exchange completed")
 	}
@@ -189,20 +246,9 @@ func TestManyExchangesWrapIndices(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 16})
 	for i := 0; i < 1000; i++ {
 		want := []byte(fmt.Sprintf("m%04d", i))
-		id, err := r.EnqueueRequest(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gid, p, err := r.DequeueRequest()
-		if err != nil || gid != id || !bytes.Equal(p, want) {
-			t.Fatalf("i=%d: (%d,%q,%v)", i, gid, p, err)
-		}
-		if err := r.EnqueueResponse(id, p); err != nil {
-			t.Fatal(err)
-		}
-		rid, rp, err := r.DequeueResponse()
-		if err != nil || rid != id || !bytes.Equal(rp, want) {
-			t.Fatalf("i=%d: response (%d,%q,%v)", i, rid, rp, err)
+		_, req, rsp, err := exchange(r, want)
+		if err != nil || !bytes.Equal(req, want) || !bytes.Equal(rsp, want) {
+			t.Fatalf("i=%d: (%q,%q,%v)", i, req, rsp, err)
 		}
 	}
 }
@@ -216,12 +262,12 @@ func TestConcurrentFrontBack(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			id, p, err := r.DequeueRequest()
+			id, p, err := waitOne(r.DequeueRequestBatchInto)
 			if err != nil {
 				t.Errorf("backend: %v", err)
 				return
 			}
-			if err := r.EnqueueResponse(id, p); err != nil {
+			if err := respond(r, id, p); err != nil {
 				t.Errorf("backend: %v", err)
 				return
 			}
@@ -232,12 +278,12 @@ func TestConcurrentFrontBack(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			id, p, err := r.DequeueResponse()
+			id, p, err := waitOne(r.DequeueResponseBatchInto)
 			if err != nil {
 				t.Errorf("frontend: %v", err)
 				return
 			}
-			got[id] = p
+			got[id] = append([]byte(nil), p...)
 		}
 	}()
 	sent := make(map[uint64][]byte, n)
@@ -273,19 +319,8 @@ func TestPropertyEchoPreservesPayloads(t *testing.T) {
 			if len(m) > int(g.SlotSize) {
 				m = m[:g.SlotSize]
 			}
-			id, err := r.EnqueueRequest(m)
-			if err != nil {
-				return false
-			}
-			gid, p, err := r.DequeueRequest()
-			if err != nil || gid != id || !bytes.Equal(p, m) {
-				return false
-			}
-			if err := r.EnqueueResponse(id, p); err != nil {
-				return false
-			}
-			rid, rp, err := r.DequeueResponse()
-			if err != nil || rid != id || !bytes.Equal(rp, m) {
+			_, req, rsp, err := exchange(r, m)
+			if err != nil || !bytes.Equal(req, m) || !bytes.Equal(rsp, m) {
 				return false
 			}
 		}
@@ -311,9 +346,6 @@ func TestAttachResolvesSameRing(t *testing.T) {
 	if attached != r {
 		t.Fatal("Attach returned a different Ring")
 	}
-	if attached.Geometry() != g {
-		t.Fatalf("geometry = %+v", attached.Geometry())
-	}
 	// Foreign regions are refused.
 	if _, err := Attach(make([]byte, 64)); !errors.Is(err, ErrBadRegion) {
 		t.Fatalf("foreign attach err = %v", err)
@@ -328,27 +360,27 @@ func TestAttachResolvesSameRing(t *testing.T) {
 	}
 }
 
-func TestTryDequeueResponseAndPending(t *testing.T) {
+func TestDequeueResponseBatchAndPendingStats(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 32})
-	if _, _, ok, err := r.TryDequeueResponse(); ok || err != nil {
+	if _, _, ok, err := dequeueOne(r.DequeueResponseBatchInto); ok || err != nil {
 		t.Fatalf("empty: ok=%v err=%v", ok, err)
 	}
 	id, _ := r.EnqueueRequest([]byte("q"))
-	if reqs, rsps := r.Pending(); reqs != 1 || rsps != 0 {
-		t.Fatalf("pending = %d/%d", reqs, rsps)
+	if s := r.Stats(); s.PendingRequests != 1 || s.PendingResponses != 0 {
+		t.Fatalf("pending = %d/%d", s.PendingRequests, s.PendingResponses)
 	}
-	r.DequeueRequest()
-	r.EnqueueResponse(id, []byte("a"))
-	if reqs, rsps := r.Pending(); reqs != 0 || rsps != 1 {
-		t.Fatalf("pending = %d/%d", reqs, rsps)
+	dequeueOne(r.DequeueRequestBatchInto)
+	respond(r, id, []byte("a"))
+	if s := r.Stats(); s.PendingRequests != 0 || s.PendingResponses != 1 {
+		t.Fatalf("pending = %d/%d", s.PendingRequests, s.PendingResponses)
 	}
-	gid, p, ok, err := r.TryDequeueResponse()
+	gid, p, ok, err := dequeueOne(r.DequeueResponseBatchInto)
 	if err != nil || !ok || gid != id || string(p) != "a" {
 		t.Fatalf("got (%d,%q,%v,%v)", gid, p, ok, err)
 	}
 	// Closed ring refuses.
 	r.Close()
-	if _, _, _, err := r.TryDequeueResponse(); !errors.Is(err, ErrClosed) {
+	if _, _, _, err := dequeueOne(r.DequeueResponseBatchInto); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed err = %v", err)
 	}
 }
@@ -360,22 +392,23 @@ func BenchmarkRingRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	payload := make([]byte, 1024)
+	var req, rsp, back Batch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, err := r.EnqueueRequest(payload)
-		if err != nil {
+		if _, err := r.EnqueueRequest(payload); err != nil {
 			b.Fatal(err)
 		}
-		gid, p, err := r.DequeueRequest()
-		if err != nil {
+		if _, err := r.DequeueRequestBatchInto(&req, 0); err != nil {
 			b.Fatal(err)
 		}
-		_ = gid
-		if err := r.EnqueueResponse(id, p); err != nil {
+		id, p := req.Frame(0)
+		rsp.Reset()
+		rsp.Commit(id, append(rsp.Take(), p...))
+		if err := r.EnqueueResponseBatch(&rsp); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := r.DequeueResponse(); err != nil {
+		if _, err := r.DequeueResponseBatchInto(&back, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,8 +426,7 @@ func TestStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := r.EnqueueRequest([]byte("b"))
-	if err != nil {
+	if _, err := r.EnqueueRequest([]byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	s := r.Stats()
@@ -416,13 +448,13 @@ func TestStats(t *testing.T) {
 	for r.Stats().FullWaits == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	if _, _, err := r.DequeueRequest(); err != nil {
+	if _, _, _, err := dequeueOne(r.DequeueRequestBatchInto); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.EnqueueResponse(id1, []byte("A")); err != nil {
+	if err := respond(r, id1, []byte("A")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.DequeueResponse(); err != nil {
+	if _, _, _, err := dequeueOne(r.DequeueResponseBatchInto); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -433,5 +465,4 @@ func TestStats(t *testing.T) {
 	if s.PendingRequests != 2 || s.PendingResponses != 0 {
 		t.Fatalf("pending after cycle: %+v", s)
 	}
-	_ = id2
 }

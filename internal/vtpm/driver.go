@@ -75,45 +75,36 @@ func backPath(dom xen.DomID) string {
 }
 
 // Frontend is the guest half of the vTPM split driver. It implements
-// tpm.Transport, so a tpm.Client can sit directly on top of it.
+// tpm.Transport, so a tpm.Client can sit directly on top of it. Every
+// command goes through the pending table (pipeline.go); its depth is the
+// configured PipelineDepth, at least 1.
 type Frontend struct {
-	hv        *xen.Hypervisor
-	xs        *xenstore.Store
-	dom       *xen.Domain
-	codec     GuestCodec
-	appendEnc AppendRequestEncoder  // non-nil when codec supports append encoding
-	respDec   AppendResponseDecoder // non-nil when codec supports append decoding
-	seqEnc    SeqCodec              // non-nil when codec supports pipelined sequencing
-	cfg       FrontendConfig
-	pipe      *pipeline // non-nil when cfg.PipelineDepth > 1
+	hv    *xen.Hypervisor
+	xs    *xenstore.Store
+	dom   *xen.Domain
+	codec GuestCodec
+	cfg   FrontendConfig
+	pipe  *pipeline
 
-	mu     sync.Mutex
-	r      *ring.Ring
-	port   xen.EvtchnPort
-	closed bool
-	txBuf  []byte // reusable framed-request buffer (guarded by mu)
-	rxBuf  []byte // reusable response-dequeue buffer (guarded by mu)
+	// r and port are published by Setup under pipe.mu and torn down by
+	// Close once the pending table has drained.
+	r    *ring.Ring
+	port xen.EvtchnPort
 }
 
-// NewFrontend prepares a lockstep frontend for a guest. codec is the channel
-// codec installed by the domain builder.
+// NewFrontend prepares a frontend that keeps one command in flight. codec is
+// the channel codec installed by the domain builder.
 func NewFrontend(hv *xen.Hypervisor, xs *xenstore.Store, dom *xen.Domain, codec GuestCodec) *Frontend {
 	return NewFrontendCfg(hv, xs, dom, codec, FrontendConfig{})
 }
 
 // NewFrontendCfg is NewFrontend with explicit transport configuration.
 func NewFrontendCfg(hv *xen.Hypervisor, xs *xenstore.Store, dom *xen.Domain, codec GuestCodec, cfg FrontendConfig) *Frontend {
-	ae, _ := codec.(AppendRequestEncoder)
-	rd, _ := codec.(AppendResponseDecoder)
-	se, _ := codec.(SeqCodec)
 	if cfg.PipelineDepth > int(deviceRingGeometry.NumSlots) {
 		cfg.PipelineDepth = int(deviceRingGeometry.NumSlots)
 	}
-	f := &Frontend{hv: hv, xs: xs, dom: dom, codec: codec, appendEnc: ae, respDec: rd, seqEnc: se, cfg: cfg}
-	if cfg.PipelineDepth > 1 {
-		f.pipe = newPipeline(cfg.PipelineDepth)
-	}
-	return f
+	return &Frontend{hv: hv, xs: xs, dom: dom, codec: codec, cfg: cfg,
+		pipe: newPipeline(max(1, cfg.PipelineDepth))}
 }
 
 // Setup allocates the ring in guest memory, grants it to dom0, allocates the
@@ -138,10 +129,10 @@ func (f *Frontend) Setup() error {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
 	port := f.hv.EventChannels().AllocUnbound(f.dom.ID(), xen.Dom0)
-	f.mu.Lock()
+	f.pipe.mu.Lock()
 	f.r = r
 	f.port = port
-	f.mu.Unlock()
+	f.pipe.mu.Unlock()
 
 	dir := frontPath(f.dom.ID())
 	err = f.xs.WithTxn(f.dom.ID(), 8, func(id xenstore.TxnID) error {
@@ -189,119 +180,31 @@ func (f *Frontend) WaitConnected() error {
 	return ErrHandshake
 }
 
-// Transmit implements tpm.Transport: encode, enqueue, kick the backend, and
-// block for the response. With PipelineDepth <= 1 one command is in flight at
-// a time per frontend, matching the /dev/tpm0 semantics guests see; larger
-// depths route through the pipelined pending table. The returned slice is
-// caller-owned: concurrent users of one client keep reading their response
-// while the next command is already overwriting the frontend's scratch
-// buffers, so the decode step lands in a fresh allocation.
-func (f *Frontend) Transmit(cmd []byte) ([]byte, error) {
-	if f.pipe != nil {
-		return f.transmitPipelined(cmd)
-	}
-	var start time.Time
-	tm := f.cfg.Metrics
-	if tm != nil {
-		start = time.Now()
-	}
-	f.mu.Lock()
-	resp, err := f.transmitLocked(cmd)
-	f.mu.Unlock()
-	if err == nil && tm != nil {
-		tm.GuestRTT.Record(time.Since(start))
-	}
-	return resp, err
-}
-
-// transmitLocked is the lockstep transmit path, under f.mu.
-func (f *Frontend) transmitLocked(cmd []byte) ([]byte, error) {
-	if f.r == nil || f.closed {
-		return nil, ErrNotConnected
-	}
-	// Build the framed request in the reusable transmit buffer with the tag
-	// byte reserved up front, so the encoder writes straight behind it and
-	// no prefix copy is needed. EnqueueRequest copies the payload into the
-	// ring slot, so reusing the buffer on the next command is safe.
-	f.txBuf = append(f.txBuf[:0], payloadEncoded)
-	if f.appendEnc != nil {
-		buf, err := f.appendEnc.EncodeRequestAppend(f.txBuf, cmd)
-		if err != nil {
-			return nil, err
-		}
-		f.txBuf = buf
-	} else {
-		enc, err := f.codec.EncodeRequest(cmd)
-		if err != nil {
-			return nil, err
-		}
-		f.txBuf = append(f.txBuf, enc...)
-	}
-	id, err := f.r.EnqueueRequest(f.txBuf)
-	if err != nil {
-		return nil, err
-	}
-	// Skip the doorbell when the backend is already draining (it will pick
-	// the request up in its final ring check before sleeping).
-	if f.r.RequestNotifyWanted() {
-		if err := f.hv.EventChannels().Notify(f.dom.ID(), f.port); err != nil {
-			return nil, err
-		}
-	} else {
-		f.hv.EventChannels().NoteSuppressed()
-	}
-	for spin := 0; ; spin++ {
-		rid, rp, ok, err := f.r.TryDequeueResponseInto(f.rxBuf[:0])
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// The backend usually answers within microseconds: re-poll a
-			// bounded number of times before paying for a timed sleep.
-			if spin < pipeSpinPolls {
-				runtime.Gosched()
-				continue
-			}
-			werr := f.hv.EventChannels().WaitTimeout(f.dom.ID(), f.port, driverWaitPoll)
-			if werr != nil && !errors.Is(werr, xen.ErrWaitTimeout) {
-				return nil, werr
-			}
-			spin = 0
-			continue
-		}
-		f.rxBuf = rp
-		if rid != id {
-			return nil, fmt.Errorf("vtpm: response id %d for request %d", rid, id)
-		}
-		if len(rp) == 0 {
-			return nil, ErrShortPayload
-		}
-		switch rp[0] {
-		case payloadRaw:
-			return append([]byte(nil), rp[1:]...), nil
-		case payloadEncoded:
-			if f.respDec != nil {
-				return f.respDec.DecodeResponseAppend(nil, rp[1:])
-			}
-			return f.codec.DecodeResponse(rp[1:])
-		default:
-			return nil, fmt.Errorf("vtpm: unknown response framing %d", rp[0])
-		}
-	}
-}
-
-// Close tears the frontend down.
+// Close tears the frontend down. New commands, including callers still
+// waiting for a pending slot, fail with ErrNotConnected at once. Commands
+// already on the ring finish first, or fail with the ring: Close returns
+// only once the pending table is empty, then closes the ring and the event
+// channel. A command the backend executes is therefore never cut off from
+// its response, which is what lets a migration close the device while the
+// guest still has an Extend in flight.
 func (f *Frontend) Close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
+	p := f.pipe
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return
 	}
-	f.closed = true
-	if f.r != nil {
-		f.r.Close()
+	p.closed = true
+	p.slotFree.Broadcast()
+	for p.inflight > 0 {
+		p.slotFree.Wait()
 	}
-	f.hv.EventChannels().Close(f.dom.ID(), f.port) //nolint:errcheck // teardown
+	r, port := f.r, f.port
+	p.mu.Unlock()
+	if r != nil {
+		r.Close()
+		f.hv.EventChannels().Close(f.dom.ID(), port) //nolint:errcheck // teardown
+	}
 }
 
 // backendDevice is the dom0 half of one connected vTPM device.

@@ -78,7 +78,7 @@ func FuzzPipelineResponseMatch(f *testing.F) {
 		p.mu.Unlock()
 		// Decode every completed slot: arbitrary bytes must produce a clean
 		// error or a copy, never a panic. PlainCodec mirrors the encoded
-		// framing the lockstep tests use.
+		// framing the driver tests use.
 		fe := &Frontend{codec: PlainCodec{}}
 		for j := range p.slots {
 			if !p.slots[j].done {

@@ -71,10 +71,6 @@ type ManagerConfig struct {
 	// mutations before the worker persists what it has. Zero means
 	// DefaultMaxDirtyInterval.
 	MaxDirtyInterval time.Duration
-	// DeferCheckpoints is the pre-CheckpointPolicy spelling of
-	// CheckpointDeferred, kept for existing callers; it is ignored when
-	// Checkpoint is set explicitly.
-	DeferCheckpoints bool
 	// Retry bounds the retry loop wrapped around every store operation
 	// (see retry.go). The zero value resolves to the package defaults.
 	Retry RetryPolicy
@@ -87,15 +83,6 @@ type ManagerConfig struct {
 	// run is reproducible span-for-span.
 	TraceSampleRate int
 	TraceSeed       int64
-}
-
-// policy resolves the configured checkpoint policy, honouring the legacy
-// DeferCheckpoints flag.
-func (cfg ManagerConfig) policy() CheckpointPolicy {
-	if cfg.Checkpoint == CheckpointEager && cfg.DeferCheckpoints {
-		return CheckpointDeferred
-	}
-	return cfg.Checkpoint
 }
 
 // Manager is the dom0 vTPM manager daemon: it owns every instance, its
@@ -226,7 +213,7 @@ func NewManager(hv *xen.Hypervisor, store Store, arena *xen.Arena, guard Guard, 
 		nextID:    1,
 		stop:      make(chan struct{}),
 
-		ckptPolicy:       cfg.policy(),
+		ckptPolicy:       cfg.Checkpoint,
 		maxDirty:         DefaultMaxDirtyCommands,
 		maxDirtyInterval: DefaultMaxDirtyInterval,
 		retry:            cfg.Retry.resolve(),

@@ -78,8 +78,8 @@ func (m *Manager) ExportInstance(id InstanceID, destEK *rsa.PublicKey) (*Instanc
 // with the engine state it actually carries is refused on either manager.
 func (m *Manager) ImportInstance(img *InstanceImage) (InstanceID, error) {
 	declared := img.Profile
-	if declared == tpm.AnyProfile {
-		declared = tpm.Profile12 // image from a pre-profile source
+	if declared != tpm.Profile12 && declared != tpm.Profile20 {
+		return 0, fmt.Errorf("%w: image declares profile %d", ErrBadImage, uint8(declared))
 	}
 	if m.cfg.Profile != tpm.AnyProfile && declared != m.cfg.Profile {
 		return 0, fmt.Errorf("%w: image is %s, this manager accepts only %s",

@@ -51,9 +51,9 @@ func (t *TransportMetrics) Register(reg *metrics.Registry) error {
 // FrontendConfig tunes one guest frontend.
 type FrontendConfig struct {
 	// PipelineDepth is the maximum number of commands the frontend keeps in
-	// flight on the ring at once. 0 or 1 selects strict request/response
-	// lockstep (the /dev/tpm0 model); larger values let concurrent callers
-	// overlap their round trips. Clamped to the ring's slot count.
+	// flight on the ring at once. 0 or 1 allows one command at a time (the
+	// /dev/tpm0 model); larger values let concurrent callers overlap their
+	// round trips. Clamped to the ring's slot count.
 	PipelineDepth int
 	// Metrics, when non-nil, receives guest round-trip latencies.
 	Metrics *TransportMetrics
@@ -65,27 +65,30 @@ type FrontendConfig struct {
 // most responses without ever sleeping.
 const pipeSpinPolls = 64
 
-// pendSlot is one in-flight command in the pipelined frontend's pending
-// table. The ring frame tag (id) matches responses to slots out of order;
-// seq is the channel sequence number the response envelope must carry.
+// pendSlot is one in-flight command in the frontend's pending table. The
+// ring frame tag (id) matches responses to slots out of order; seq is the
+// channel sequence tag the response envelope must carry.
 type pendSlot struct {
 	id   uint64
 	seq  uint64
 	rsp  []byte // framed response payload, copied out of the drain batch
-	dec  []byte // reusable decode buffer
 	used bool
 	done bool
 }
 
 // pipeline is the pending table plus the cooperative drain state of one
-// pipelined frontend. One waiter at a time is elected drainer; it pulls
-// whole response batches off the ring and deposits them into slots by frame
-// tag, then wakes everyone to re-check.
+// frontend. One waiter at a time is elected drainer; it pulls whole response
+// batches off the ring and deposits them into slots by frame tag, then wakes
+// everyone to re-check.
 type pipeline struct {
-	mu       sync.Mutex
-	slotFree sync.Cond // waiters for a free pending slot
+	mu sync.Mutex
+	// slotFree wakes callers waiting for a free slot, and a closing
+	// frontend waiting for the table to empty.
+	slotFree sync.Cond
 	arrival  sync.Cond // waiters for a deposited response
 	slots    []pendSlot
+	inflight int  // slots in use
+	closed   bool // Close has begun: claims fail with ErrNotConnected
 	draining bool
 	stale    uint64 // responses whose tag matched no in-flight slot
 	txBuf    []byte // shared framed-request build buffer (under mu)
@@ -102,9 +105,6 @@ func newPipeline(depth int) *pipeline {
 // StaleResponses reports how many drained responses matched no in-flight
 // command (tests and fuzzing observability).
 func (f *Frontend) StaleResponses() uint64 {
-	if f.pipe == nil {
-		return 0
-	}
 	f.pipe.mu.Lock()
 	defer f.pipe.mu.Unlock()
 	return f.pipe.stale
@@ -136,11 +136,45 @@ func (p *pipeline) depositBatch(n int) {
 	p.mu.Unlock()
 }
 
-// transmitPipelined is Transmit for PipelineDepth > 1: claim a pending slot,
-// encode and enqueue under the pipeline lock (so ring order matches sequence
-// order, which the server's anti-replay window requires), then wait for the
-// slot's response, cooperatively draining the ring.
-func (f *Frontend) transmitPipelined(cmd []byte) ([]byte, error) {
+// releaseLocked returns a slot to the table. Called with p.mu held.
+func (p *pipeline) releaseLocked(s *pendSlot) {
+	s.used = false
+	p.inflight--
+	if p.closed {
+		p.slotFree.Broadcast() // Close is waiting for the table to empty
+	} else {
+		p.slotFree.Signal()
+	}
+}
+
+// claimLocked waits for a free slot and marks it in use. It fails with
+// ErrNotConnected before Setup and once Close has begun. Called with p.mu
+// held.
+func (f *Frontend) claimLocked() (*pendSlot, error) {
+	p := f.pipe
+	for {
+		if p.closed || f.r == nil {
+			return nil, ErrNotConnected
+		}
+		for j := range p.slots {
+			if s := &p.slots[j]; !s.used {
+				s.used, s.done = true, false
+				p.inflight++
+				return s, nil
+			}
+		}
+		p.slotFree.Wait()
+	}
+}
+
+// Transmit implements tpm.Transport: claim a pending slot, encode and
+// enqueue under the pipeline lock (so ring order matches sequence order,
+// which the server's anti-replay window requires), kick the backend, then
+// wait for the slot's response, cooperatively draining the ring. At most
+// PipelineDepth commands are in flight; with depth 1 concurrent callers take
+// turns, matching the /dev/tpm0 semantics guests see. The returned slice is
+// caller-owned: the slot is recycled as soon as its response is decoded.
+func (f *Frontend) Transmit(cmd []byte) ([]byte, error) {
 	var start time.Time
 	tm := f.cfg.Metrics
 	if tm != nil {
@@ -148,56 +182,36 @@ func (f *Frontend) transmitPipelined(cmd []byte) ([]byte, error) {
 	}
 	p := f.pipe
 	p.mu.Lock()
-	var s *pendSlot
-	for {
-		for j := range p.slots {
-			if !p.slots[j].used {
-				s = &p.slots[j]
-				break
-			}
-		}
-		if s != nil {
-			break
-		}
-		p.slotFree.Wait()
-	}
-	s.used, s.done = true, false
-	p.txBuf = append(p.txBuf[:0], payloadEncoded)
-	var seq uint64
-	if f.seqEnc != nil {
-		buf, sq, err := f.seqEnc.EncodeRequestAppendSeq(p.txBuf, cmd)
-		if err != nil {
-			s.used = false
-			p.mu.Unlock()
-			p.slotFree.Signal()
-			return nil, err
-		}
-		p.txBuf, seq = buf, sq
-	} else {
-		enc, err := f.codec.EncodeRequest(cmd)
-		if err != nil {
-			s.used = false
-			p.mu.Unlock()
-			p.slotFree.Signal()
-			return nil, err
-		}
-		p.txBuf = append(p.txBuf, enc...)
-	}
-	// Depth never exceeds the slot count and every in-flight command's
-	// response is drained eagerly, so the ring cannot be full here and the
-	// enqueue never blocks while p.mu is held.
-	id, err := f.r.EnqueueRequest(p.txBuf)
+	s, err := f.claimLocked()
 	if err != nil {
-		s.used = false
 		p.mu.Unlock()
-		p.slotFree.Signal()
 		return nil, err
 	}
-	s.id, s.seq = id, seq
+	// The tag byte is reserved up front so the codec appends the envelope
+	// straight behind it. EnqueueRequest copies the frame into the ring
+	// slot, so the next command may reuse the buffer.
+	buf, seq, err := f.codec.EncodeRequest(append(p.txBuf[:0], payloadEncoded), cmd)
+	if err == nil {
+		p.txBuf = buf
+		// Depth never exceeds the slot count and every in-flight command's
+		// response is drained eagerly, so the ring cannot be full here and
+		// the enqueue never blocks while p.mu is held.
+		s.id, err = f.r.EnqueueRequest(buf)
+		s.seq = seq
+	}
+	if err != nil {
+		p.releaseLocked(s)
+		p.mu.Unlock()
+		return nil, err
+	}
 	p.mu.Unlock()
+	// Skip the doorbell when the backend is already draining (it will pick
+	// the request up in its final ring check before sleeping).
 	if f.r.RequestNotifyWanted() {
 		if err := f.hv.EventChannels().Notify(f.dom.ID(), f.port); err != nil {
-			f.failSlot(s)
+			p.mu.Lock()
+			p.releaseLocked(s)
+			p.mu.Unlock()
 			return nil, err
 		}
 	} else {
@@ -217,31 +231,21 @@ func (f *Frontend) transmitPipelined(cmd []byte) ([]byte, error) {
 		p.draining = false
 		p.arrival.Broadcast()
 		if derr != nil && !s.done {
-			s.used = false
+			p.releaseLocked(s)
 			p.mu.Unlock()
-			p.slotFree.Signal()
 			return nil, derr
 		}
 	}
-	// The slot is ours until used is cleared, so decode outside p.mu.
+	// The slot is ours until it is released, so decode outside p.mu.
 	p.mu.Unlock()
 	out, err := f.decodeSlot(s)
 	p.mu.Lock()
-	s.used = false
+	p.releaseLocked(s)
 	p.mu.Unlock()
-	p.slotFree.Signal()
 	if err == nil && tm != nil {
 		tm.GuestRTT.Record(time.Since(start))
 	}
 	return out, err
-}
-
-// failSlot releases a claimed slot after a post-enqueue failure.
-func (f *Frontend) failSlot(s *pendSlot) {
-	f.pipe.mu.Lock()
-	s.used = false
-	f.pipe.mu.Unlock()
-	f.pipe.slotFree.Signal()
 }
 
 // decodeSlot unwraps a completed slot's framed response. The returned slice
@@ -256,10 +260,7 @@ func (f *Frontend) decodeSlot(s *pendSlot) ([]byte, error) {
 	case payloadRaw:
 		return append([]byte(nil), rp[1:]...), nil
 	case payloadEncoded:
-		if f.seqEnc != nil {
-			return f.seqEnc.DecodeResponseAppendSeq(nil, rp[1:], s.seq)
-		}
-		return f.codec.DecodeResponse(rp[1:])
+		return f.codec.DecodeResponse(nil, rp[1:], s.seq)
 	default:
 		return nil, fmt.Errorf("vtpm: unknown response framing %d", rp[0])
 	}

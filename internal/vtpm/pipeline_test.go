@@ -1,11 +1,15 @@
 package vtpm
 
 import (
+	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xvtpm/internal/metrics"
+	"xvtpm/internal/ring"
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/xen"
 )
@@ -86,16 +90,134 @@ func TestPipelineDepthClampedToRingSlots(t *testing.T) {
 	}
 }
 
-func TestPipelineDepthOneStaysLockstep(t *testing.T) {
-	hv := xen.NewHypervisor(xen.DomainConfig{Name: "Domain-0", Pages: 64})
-	dom, err := hv.CreateDomain(xen.DomainConfig{Name: "g", Kernel: []byte("k")})
-	if err != nil {
-		t.Fatal(err)
+// hookGuard is passGuard with a hook that runs inside AdmitCommand, i.e.
+// while the backend is executing that command.
+type hookGuard struct {
+	passGuard
+	onAdmit func()
+}
+
+func (g *hookGuard) AdmitCommand(inst InstanceInfo, from xen.DomID, launch xen.LaunchDigest, payload []byte) ([]byte, ResponseFinisher, error) {
+	if g.onAdmit != nil {
+		g.onAdmit()
 	}
+	return g.passGuard.AdmitCommand(inst, from, launch, payload)
+}
+
+// deviceRing returns the backend's view of a connected device's ring.
+func deviceRing(t *testing.T, be *Backend, dom xen.DomID) *ring.Ring {
+	t.Helper()
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	dev, ok := be.devices[dom]
+	if !ok {
+		t.Fatalf("dom%d has no connected device", dom)
+	}
+	return dev.r
+}
+
+// TestPipelineDepthOneStaysLockstep drives 8 concurrent callers through a
+// depth-0 and a depth-1 frontend and checks the /dev/tpm0 discipline from
+// the ring's side: while the backend executes a command no second request
+// is published, and every backend drain carries exactly one frame.
+func TestPipelineDepthOneStaysLockstep(t *testing.T) {
 	for _, depth := range []int{0, 1} {
-		fe := NewFrontendCfg(hv, nil, dom, PlainCodec{}, FrontendConfig{PipelineDepth: depth})
-		if fe.pipe != nil {
-			t.Fatalf("depth %d built a pending table; want lockstep", depth)
+		var r atomic.Pointer[ring.Ring]
+		var overlaps atomic.Int64
+		guard := &hookGuard{onAdmit: func() {
+			if rr := r.Load(); rr != nil && rr.Stats().PendingRequests > 0 {
+				overlaps.Add(1)
+			}
+		}}
+		_, be, dom, _, cli := connectPipelined(t, guard, FrontendConfig{PipelineDepth: depth})
+		r.Store(deviceRing(t, be, dom.ID()))
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 25; j++ {
+					if _, err := cli.GetRandom(8); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if n := overlaps.Load(); n != 0 {
+			t.Fatalf("depth %d: %d commands executed with another request queued behind them", depth, n)
+		}
+		if s := r.Load().Stats(); s.BatchFrames != s.BatchDrains || s.Requests != 200 {
+			t.Fatalf("depth %d: %d frames over %d drains, %d requests; want one frame per drain",
+				depth, s.BatchFrames, s.BatchDrains, s.Requests)
+		}
+	}
+}
+
+// TestCloseDrainsInFlightCommand parks a command inside the backend, closes
+// the frontend, and checks Close's contract: the caller still gets the
+// command's real response, Close does not return before it, and a later
+// Transmit fails with ErrNotConnected.
+func TestCloseDrainsInFlightCommand(t *testing.T) {
+	for _, depth := range []int{1, 4} {
+		entered := make(chan struct{})
+		release := make(chan struct{})
+		var parked atomic.Bool
+		guard := &hookGuard{onAdmit: func() {
+			if parked.CompareAndSwap(false, true) {
+				close(entered)
+				<-release
+			}
+		}}
+		_, _, _, fe, cli := connectPipelined(t, guard, FrontendConfig{PipelineDepth: depth})
+		type result struct {
+			rnd []byte
+			err error
+		}
+		got := make(chan result, 1)
+		go func() {
+			rnd, err := cli.GetRandom(8)
+			got <- result{rnd, err}
+		}()
+		<-entered
+		closed := make(chan struct{})
+		go func() {
+			fe.Close()
+			close(closed)
+		}()
+		// Wait until Close has begun refusing new commands, then make sure it
+		// is still waiting on the parked one.
+		for {
+			fe.pipe.mu.Lock()
+			c := fe.pipe.closed
+			fe.pipe.mu.Unlock()
+			if c {
+				break
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		select {
+		case <-closed:
+			t.Fatalf("depth %d: Close returned with a command in flight", depth)
+		default:
+		}
+		if _, err := fe.Transmit([]byte{0}); !errors.Is(err, ErrNotConnected) {
+			t.Fatalf("depth %d: Transmit during Close: err = %v, want ErrNotConnected", depth, err)
+		}
+		close(release)
+		res := <-got
+		if res.err != nil || len(res.rnd) != 8 {
+			t.Fatalf("depth %d: in-flight command got (%x, %v), want its 8-byte response", depth, res.rnd, res.err)
+		}
+		<-closed
+		if _, err := fe.Transmit([]byte{0}); !errors.Is(err, ErrNotConnected) {
+			t.Fatalf("depth %d: Transmit after Close: err = %v, want ErrNotConnected", depth, err)
 		}
 	}
 }
@@ -112,11 +234,13 @@ func TestPipelineSurvivesDroppedNotifies(t *testing.T) {
 	ec := hv.EventChannels()
 	ec.SetNotifyFault(func(xen.DomID, xen.EvtchnPort) bool { return true })
 	defer ec.SetNotifyFault(nil)
-	// Let the device go fully idle between commands: an idle backend re-raises
-	// its doorbell flag, so each command sends a real notify — which the hook
-	// swallows — and completes only because WaitTimeout re-polls the ring.
 	for i := 0; i < 5; i++ {
-		time.Sleep(5 * driverWaitPoll)
+		// Wait for the backend to go idle: it then wants a doorbell, so this
+		// command sends a real notify, which the hook swallows, and completes
+		// only because WaitTimeout re-polls the ring.
+		for !fe.r.RequestNotifyWanted() {
+			runtime.Gosched()
+		}
 		if _, err := cli.GetRandom(8); err != nil {
 			t.Fatalf("command %d: %v", i, err)
 		}
@@ -124,7 +248,6 @@ func TestPipelineSurvivesDroppedNotifies(t *testing.T) {
 	if ec.DroppedNotifies() == 0 {
 		t.Fatal("fault hook never fired; test exercised nothing")
 	}
-	_ = fe
 }
 
 // TestPipelinedTrafficSuppressesDoorbells runs enough overlapping traffic

@@ -28,55 +28,47 @@ var (
 )
 
 // Checkpoint header: magic ∥ version ∥ profile ∥ epoch, prepended in
-// plaintext to every stored instance blob. Version 2 added the 8-byte
-// ownership epoch (federation fencing, DESIGN.md §12); version-1 blobs —
-// profile but no epoch — still parse and declare epoch 0.
+// plaintext to every stored instance blob. The 8-byte ownership epoch is the
+// federation fence (DESIGN.md §12). A blob without this exact header is
+// refused.
 const (
-	ckptMagic    = "XCKP"
-	ckptVersion1 = 1
-	ckptVersion  = 2
-	ckptV1HdrLen = len(ckptMagic) + 2
-	ckptHdrLen   = len(ckptMagic) + 2 + 8
+	ckptMagic   = "XCKP"
+	ckptVersion = 2
+	ckptHdrLen  = len(ckptMagic) + 2 + 8
 )
 
-// appendCheckpointHeader appends the plaintext profile+epoch header to dst.
-func appendCheckpointHeader(dst []byte, p tpm.Profile, epoch uint64) []byte {
+// AppendCheckpointHeader appends the plaintext profile+epoch header to dst.
+// Exported for tooling that builds stored blobs outside a manager (bench and
+// experiment fixtures seeding a store): pass the result as ProtectState's
+// dst so the guard envelope lands right behind it.
+func AppendCheckpointHeader(dst []byte, p tpm.Profile, epoch uint64) []byte {
 	dst = append(dst, ckptMagic...)
 	dst = append(dst, ckptVersion, byte(p))
 	return binary.BigEndian.AppendUint64(dst, epoch)
 }
 
 // UnwrapCheckpoint splits a stored instance blob into its declared profile
-// and the guard envelope that follows. Blobs from before the profile header
-// existed carry no header; they are accepted and declared Profile12, the only
-// profile that existed then. Exported because everything that reads stored
-// blobs out-of-band — the migration receiver, the attack harness's
-// state-theft scenario, offline tooling — must strip the same header.
+// and the guard envelope that follows. Exported because everything that
+// reads stored blobs out-of-band — the migration receiver, the attack
+// harness's state-theft scenario, offline tooling — must strip the same
+// header.
 func UnwrapCheckpoint(blob []byte) (tpm.Profile, []byte, error) {
 	p, _, env, err := UnwrapCheckpointEpoch(blob)
 	return p, env, err
 }
 
 // UnwrapCheckpointEpoch is UnwrapCheckpoint also returning the ownership
-// epoch the blob was committed at. Headerless and version-1 blobs declare
-// epoch 0, the never-federated generation.
+// epoch the blob was committed at.
 func UnwrapCheckpointEpoch(blob []byte) (tpm.Profile, uint64, []byte, error) {
-	if len(blob) < ckptV1HdrLen || string(blob[:len(ckptMagic)]) != ckptMagic {
-		return tpm.Profile12, 0, blob, nil // legacy headerless blob
+	if len(blob) < ckptHdrLen || string(blob[:len(ckptMagic)]) != ckptMagic {
+		return tpm.AnyProfile, 0, nil, fmt.Errorf("%w: missing checkpoint header", ErrBadEnvelope)
 	}
-	version := blob[len(ckptMagic)]
-	if version != ckptVersion1 && version != ckptVersion {
+	if version := blob[len(ckptMagic)]; version != ckptVersion {
 		return tpm.AnyProfile, 0, nil, fmt.Errorf("%w: checkpoint header version %d", ErrBadEnvelope, version)
 	}
 	p := tpm.Profile(blob[len(ckptMagic)+1])
 	if p != tpm.Profile12 && p != tpm.Profile20 {
 		return tpm.AnyProfile, 0, nil, fmt.Errorf("%w: checkpoint header declares profile %d", ErrBadEnvelope, uint8(p))
-	}
-	if version == ckptVersion1 {
-		return p, 0, blob[ckptV1HdrLen:], nil
-	}
-	if len(blob) < ckptHdrLen {
-		return tpm.AnyProfile, 0, nil, fmt.Errorf("%w: checkpoint header truncated at %d bytes", ErrBadEnvelope, len(blob))
 	}
 	epoch := binary.BigEndian.Uint64(blob[len(ckptMagic)+2 : ckptHdrLen])
 	return p, epoch, blob[ckptHdrLen:], nil

@@ -102,7 +102,7 @@ func TestCheckpointRestoreCrossProfileRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := appendCheckpointHeader(nil, tpm.Profile12, 0)
+	blob := AppendCheckpointHeader(nil, tpm.Profile12, 0)
 	blob = append(blob, eng2.SaveState()...)
 	profile, envelope, err := UnwrapCheckpoint(blob)
 	if err != nil {
@@ -110,5 +110,57 @@ func TestCheckpointRestoreCrossProfileRejected(t *testing.T) {
 	}
 	if _, err := restoreDeclaredEngine(profile, envelope); !errors.Is(err, ErrProfileMismatch) {
 		t.Fatalf("restore of 2.0 state under 1.2 header: err = %v, want ErrProfileMismatch", err)
+	}
+}
+
+// TestCheckpointRejectsUnversionedBlob pins that a stored blob must carry the
+// current checkpoint header: a headerless blob (bare guard envelope) and a
+// version-1 header (profile, no epoch) are both refused as malformed rather
+// than read as an epoch-0 1.2 instance.
+func TestCheckpointRejectsUnversionedBlob(t *testing.T) {
+	eng, err := tpm.NewEngine(tpm.Profile12, tpm.Config{RSABits: testBits, Seed: []byte("hdr")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := eng.AppendState(nil)
+	v1 := append([]byte(ckptMagic), 1, byte(tpm.Profile12))
+	for name, blob := range map[string][]byte{
+		"headerless": state,
+		"version-1":  append(v1, state...),
+	} {
+		if _, _, err := UnwrapCheckpoint(blob); !errors.Is(err, ErrBadEnvelope) {
+			t.Errorf("%s blob: err = %v, want ErrBadEnvelope", name, err)
+		}
+	}
+	blob := append(AppendCheckpointHeader(nil, tpm.Profile12, 0), state...)
+	if p, env, err := UnwrapCheckpoint(blob); err != nil || p != tpm.Profile12 || len(env) != len(state) {
+		t.Fatalf("current header: profile %s, %d-byte envelope, err %v", p, len(env), err)
+	}
+}
+
+// TestImportRejectsUndeclaredProfile pins that a migration image must declare
+// its profile: an image left at AnyProfile is refused as malformed instead of
+// being read as 1.2, and nothing is committed.
+func TestImportRejectsUndeclaredProfile(t *testing.T) {
+	src := newProfileMgr(t, ManagerConfig{})
+	id, err := src.CreateInstanceProfile(tpm.Profile12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := src.ExportInstance(id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	undeclared := *img
+	undeclared.Profile = tpm.AnyProfile
+	dst := newProfileMgr(t, ManagerConfig{})
+	if _, err := dst.ImportInstance(&undeclared); !errors.Is(err, ErrBadImage) {
+		t.Fatalf("AnyProfile image: err = %v, want ErrBadImage", err)
+	}
+	if n := len(dst.Instances()); n != 0 {
+		t.Fatalf("refused import left %d instances behind", n)
+	}
+	if _, err := dst.ImportInstance(img); err != nil {
+		t.Fatalf("declared 1.2 image: %v", err)
 	}
 }

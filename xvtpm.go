@@ -160,9 +160,9 @@ type HostConfig struct {
 	TraceSampleRate int
 	TraceSeed       int64
 	// PipelineDepth is how many commands each guest frontend keeps in flight
-	// on its ring at once. 0 or 1 selects strict request/response lockstep;
-	// larger values let concurrent guest callers overlap round trips. See
-	// vtpm.FrontendConfig.
+	// on its ring at once. 0 or 1 allows one command at a time (strict
+	// request/response lockstep); larger values let concurrent guest callers
+	// overlap round trips. See vtpm.FrontendConfig.
 	PipelineDepth int
 	// Profile sets the default command profile for new vTPM instances on
 	// this host (AnyProfile means 1.2). Per-guest GuestConfig.Profile
